@@ -6,10 +6,11 @@ Subcommands:
   verify [--level]      run the property-check suite (exit 4 on failure)
   gen <spec> -o <path>  generate a synthetic dataset in LIBSVM format
 
-Exit codes for run: 0 success, 1 config/input error, 2 solver divergence,
-3 output I/O failure. CSV files are written to `<name>.partial` and renamed
-into place only when complete, so an interrupted run never leaves a file
-that looks finished.
+Exit codes for run: 0 success, 1 config/input error (nan and inf included)
+or a solver rejecting its settings, 2 solver divergence, 3 output I/O
+failure; other solvers' traces are still written past a per-solver error
+or divergence. CSVs are written to `<name>.partial` and renamed into place
+when complete, so an interrupted run never leaves a finished-looking file.
 
 Traces are deterministic for a fixed config: reruns produce byte-identical
 CSVs except the elapsed_ns column. --seed overrides every solver's seed
@@ -30,7 +31,7 @@ from .config import ExperimentConfig, parse_config
 from .dataio import generate_synthetic, parse_libsvm, write_libsvm
 from .errors import ConfigError, ConvergenceError, DivergenceError, \
     LibsvmFormatError
-from .model import LossKind, SmoothObjective
+from .model import LOSSES, SmoothObjective
 from .prox import RegKind, Regularizer
 from .solver import RunResult, reference_solution, run as run_solver
 from .verify import run_checks
@@ -80,7 +81,7 @@ def _materialize(cfg: ExperimentConfig):
         _fail(1, f"cannot read dataset {cfg.dataset}: {exc}")
     try:
         return parse_libsvm(
-            text, binary_labels=cfg.loss is LossKind.LOGISTIC_RIDGE)
+            text, binary_labels=LOSSES[cfg.loss].binary_labels)
     except LibsvmFormatError as exc:
         _fail(1, f"{cfg.dataset}: {exc}")
 
@@ -113,7 +114,10 @@ def cmd_run(ctx, config_path):
             (name, dataclasses.replace(sc, seed=ctx.obj["seed"]))
             for name, sc in cfg.solvers]
     ds = _materialize(cfg)
-    obj = SmoothObjective.build(ds, cfg.loss, cfg.ridge)
+    try:
+        obj = SmoothObjective.build(ds, cfg.loss, cfg.ridge)
+    except ValueError as exc:
+        _fail(1, f"{cfg.dataset or 'synthetic data'}: {exc}")
     reg = Regularizer(RegKind.L1 if cfg.lambda1 > 0 else RegKind.ZERO,
                       cfg.lambda1)
     try:
@@ -135,7 +139,7 @@ def cmd_run(ctx, config_path):
         return name, run_solver(obj, reg, sc, p_star=p_star)
 
     results: dict[str, RunResult] = {}
-    diverged: dict[str, str] = {}
+    failed: dict[str, tuple[int, str]] = {}  # name -> (exit code, summary)
     with cf.ThreadPoolExecutor(max_workers=ctx.obj["threads"]) as pool:
         futures = {pool.submit(one, item): item[0] for item in cfg.solvers}
         for fut in cf.as_completed(futures):
@@ -143,7 +147,9 @@ def cmd_run(ctx, config_path):
             try:
                 results[name] = fut.result()[1]
             except DivergenceError as exc:
-                diverged[name] = str(exc)
+                failed[name] = (2, f"diverged: {exc}")
+            except ValueError as exc:
+                failed[name] = (1, f"error: {exc}")
 
     wrote = []
     for name, _ in cfg.solvers:
@@ -159,8 +165,8 @@ def cmd_run(ctx, config_path):
     click.echo(f"{'solver':<18} {'objective':>14} {'subopt':>12} "
                f"{'grad_evals':>11} {'rebuilds':>9} {'ms':>9}")
     for name, _ in cfg.solvers:
-        if name in diverged:
-            click.echo(f"{name:<18} diverged: {diverged[name]}")
+        if name in failed:
+            click.echo(f"{name:<18} {failed[name][1]}")
             continue
         last = results[name].records[-1]
         sub = "-" if last.subopt is None else f"{last.subopt:.3e}"
@@ -169,8 +175,8 @@ def cmd_run(ctx, config_path):
                    f"{last.elapsed_ns / 1e6:>9.1f}")
     for name, path in wrote:
         click.echo(f"wrote {path}")
-    if diverged:
-        sys.exit(2)
+    if failed:
+        sys.exit(min(code for code, _ in failed.values()))
 
 
 @main.command("verify")

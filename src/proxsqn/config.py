@@ -5,7 +5,8 @@ Grammar (documented here and in the README):
   * one `key = value` pair per line, split on the first `=`;
   * blank lines and lines whose first non-space character is `#` are ignored;
   * keys are case-sensitive; duplicate keys are errors;
-  * floats serialize via repr so serialize -> parse round-trips bitwise.
+  * floats must be finite (nan and inf are errors) and serialize via repr,
+    so serialize -> parse round-trips bitwise.
 
 Recognized keys:
 
@@ -28,6 +29,7 @@ skip_eps, scheme, seed, divergence_factor, dense_limit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields as dc_fields
 
 from .dataio import SyntheticSpec
@@ -88,9 +90,12 @@ def _parse_scalar(kind, raw, key, lineno):
             raise ConfigError(f"{where}: expected integer, got {raw!r}") from None
     if kind is float:
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise ConfigError(f"{where}: expected float, got {raw!r}") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"{where}: expected a finite float, got {raw!r}")
+        return value
     try:
         return kind(raw)  # enum lookup by value
     except ValueError:

@@ -11,13 +11,14 @@ between {0,1} and {-1,+1} conventions); otherwise labels pass through raw.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import LibsvmFormatError
-from .model import Dataset, LossKind
+from .model import LOSSES, Dataset, LossKind
 from .sampler import _floyd_sample, make_rng
 
 _TOKEN = re.compile(r"\S+")
@@ -29,7 +30,8 @@ def parse_libsvm(text: str, d: int | None = None,
 
     d defaults to the largest index seen; pass it explicitly when trailing
     all-zero columns matter. Raises LibsvmFormatError with 1-based line and
-    column positions on malformed input; blank lines are skipped.
+    column positions on malformed input, nan and inf included; blank lines
+    are skipped.
     """
     rows = []
     labels = []
@@ -84,9 +86,23 @@ def parse_libsvm(text: str, d: int | None = None,
     elif d < max_index:
         raise ValueError(f"d = {d} smaller than largest index {max_index}")
     lab = np.asarray(labels, np.float64)
-    if binary_labels:
-        lab = np.where(lab <= 0.0, -1.0, 1.0)
-    return Dataset.from_rows(rows, lab, d)
+    ds = Dataset.from_rows(
+        rows, np.where(lab <= 0.0, -1.0, 1.0) if binary_labels else lab, d)
+    # one vectorized pass; the position is searched only on failure
+    if not (np.isfinite(lab).all() and np.isfinite(ds.values).all()):
+        raise _nonfinite_error(text)
+    return ds
+
+
+def _nonfinite_error(text: str) -> LibsvmFormatError:
+    """Error at the first nan or inf label or value of text that parsed."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        for k, tok in enumerate(_TOKEN.finditer(line)):
+            raw = tok.group() if k == 0 else tok.group().partition(":")[2]
+            if not math.isfinite(float(raw)):
+                return LibsvmFormatError(
+                    lineno, tok.end() - len(raw) + 1,
+                    f"non-finite {'value' if k else 'label'} {raw!r}")
 
 
 def write_libsvm(ds: Dataset) -> str:
@@ -161,8 +177,8 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, np.ndarray]:
         rows.append((idx, val))
         margins[i] = val @ x_true[idx]
     margins += spec.noise * rng.standard_normal(n)
-    if spec.loss is LossKind.SQUARED_ERROR:
-        labels = margins
-    else:
+    if LOSSES[spec.loss].binary_labels:
         labels = np.where(margins > 0.0, 1.0, -1.0)
+    else:
+        labels = margins
     return Dataset.from_rows(rows, labels, d), x_true

@@ -105,7 +105,7 @@ def apply_inverse(metric: Metric, v: np.ndarray) -> np.ndarray:
     """H^{-1} v in O(d)."""
     out = (metric.alpha * metric.tau) * v
     if metric.u.size and not metric.skipped:
-        out = out + metric.u * float(metric.u @ v)
+        out = out + metric.u * float(metric.u.dot(v))
     return out
 
 

@@ -5,6 +5,10 @@ The smooth part of the composite problem is F(x) = (1/n) sum_i f_i(x) with
     squared error:   f_i(x) = 0.5 (a_i'x - b_i)^2      + 0.5 ridge ||x||^2
     logistic ridge:  f_i(x) = log(1 + exp(-b_i a_i'x)) + 0.5 ridge ||x||^2
 
+The loss table LOSSES is the one place that knows each loss. To add one,
+add a LossKind member and a Loss entry: value, gradient coefficient, the
+estimator's coefficient difference, curvature weight and bound, label rule.
+
 Rows a_i are stored sparse (CSR triplet) and every per-component oracle is
 O(nnz(a_i)). Batch quantities are sums over the index set, not averages;
 full_gradient is the n-average.
@@ -13,6 +17,7 @@ full_gradient is the n-average.
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +30,43 @@ _DENSE_LIMIT_DEFAULT = 512
 class LossKind(enum.Enum):
     SQUARED_ERROR = "squared_error"
     LOGISTIC_RIDGE = "logistic_ridge"
+
+
+@dataclass(frozen=True)
+class Loss:
+    """One loss as vectorized functions of margins z = a_i'x and labels b."""
+
+    value: Callable             # f_i without the ridge term
+    coef: Callable              # c with data gradient c a_i
+    coef_diff: Callable         # coef(z, b) - coef(zt, b), as the estimator
+    curvature: Callable | None  # w with data Hessian w a_i a_i'; None: constant
+    curvature_bound: float      # sup over z of w
+    binary_labels: bool         # labels in {-1, +1}, generated as margin signs
+
+
+def _logistic_curvature(z, b):
+    s = expit(b * z)
+    return s * (1.0 - s)
+
+
+LOSSES = {
+    LossKind.SQUARED_ERROR: Loss(
+        value=lambda z, b: 0.5 * (z - b) ** 2,
+        coef=lambda z, b: z - b,
+        # not (z - b) - (zt - b): equal in exact arithmetic, rounded otherwise
+        coef_diff=lambda z, zt, b: z - zt,
+        curvature=None,
+        curvature_bound=1.0,
+        binary_labels=False),
+    LossKind.LOGISTIC_RIDGE: Loss(
+        # log(1 + exp(-b z)) without overflow
+        value=lambda z, b: np.logaddexp(0.0, -b * z),
+        coef=lambda z, b: -b * expit(-b * z),
+        coef_diff=lambda z, zt, b: b * (expit(-b * zt) - expit(-b * z)),
+        curvature=_logistic_curvature,
+        curvature_bound=0.25,
+        binary_labels=True),
+}
 
 
 @dataclass(eq=False)
@@ -149,9 +191,9 @@ class SmoothObjective:
             raise ValueError("ridge must be >= 0")
         if self.strong_convexity < 0.0 or self.strong_convexity > L.min() + 1e-12:
             raise ValueError("need 0 <= mu <= min_i L_i")
-        if self.loss is LossKind.LOGISTIC_RIDGE:
-            if not np.all(np.isin(self.dataset.labels, (-1.0, 1.0))):
-                raise ValueError("logistic loss needs labels in {-1, +1}")
+        if LOSSES[self.loss].binary_labels and \
+                not np.all(np.isin(self.dataset.labels, (-1.0, 1.0))):
+            raise ValueError(f"{self.loss.value} loss needs labels in {{-1, +1}}")
         self.component_lipschitz = L
 
     @property
@@ -175,37 +217,17 @@ class SmoothObjective:
             np.add.at(sq_norms, np.repeat(np.arange(dataset.n),
                                           np.diff(dataset.indptr)),
                       dataset.values ** 2)
-            if loss is LossKind.SQUARED_ERROR:
-                component_lipschitz = sq_norms + ridge
-            else:
-                component_lipschitz = 0.25 * sq_norms + ridge
+            component_lipschitz = LOSSES[loss].curvature_bound * sq_norms + ridge
         if strong_convexity is None:
             strong_convexity = ridge
         return cls(dataset, loss, ridge, component_lipschitz, strong_convexity)
 
 
-def _softplus(z):
-    # log(1 + exp(z)) without overflow
-    return np.logaddexp(0.0, z)
-
-
 def smooth_value(obj: SmoothObjective, x: np.ndarray) -> float:
     """F(x)."""
     z = obj.dataset.to_csr() @ x
-    b = obj.dataset.labels
-    if obj.loss is LossKind.SQUARED_ERROR:
-        data = 0.5 * np.mean((z - b) ** 2)
-    else:
-        data = np.mean(_softplus(-b * z))
+    data = np.mean(LOSSES[obj.loss].value(z, obj.dataset.labels))
     return float(data + 0.5 * obj.ridge * (x @ x))
-
-
-def _loss_coef(obj, i, zi):
-    """Scalar c with data-gradient c * a_i at margin zi = a_i'x."""
-    b = obj.dataset.labels[i]
-    if obj.loss is LossKind.SQUARED_ERROR:
-        return zi - b
-    return -b * expit(-b * zi)
 
 
 def component_gradient(obj: SmoothObjective, i: int, x: np.ndarray) -> np.ndarray:
@@ -215,7 +237,7 @@ def component_gradient(obj: SmoothObjective, i: int, x: np.ndarray) -> np.ndarra
     idx, val = obj.dataset.row(i)
     zi = float(val @ x[idx])
     g = obj.ridge * x
-    g[idx] += _loss_coef(obj, i, zi) * val
+    g[idx] += LOSSES[obj.loss].coef(zi, obj.dataset.labels[i]) * val
     return g
 
 
@@ -229,10 +251,10 @@ def batch_slabs(ds: Dataset, rows: np.ndarray):
     """
     starts = ds.indptr[rows]
     counts = ds.indptr[rows + 1] - starts
-    total = int(counts.sum())
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    pos = np.arange(total, dtype=np.int64) + np.repeat(starts - offsets, counts)
     row_ids = np.repeat(np.arange(rows.size, dtype=np.int64), counts)
+    # flat position: the row's start plus the entry's rank within its row
+    pos = np.arange(row_ids.size, dtype=np.int64)
+    pos += (starts - (np.cumsum(counts) - counts))[row_ids]
     return ds.indices[pos], ds.values[pos], row_ids
 
 
@@ -249,11 +271,7 @@ def batch_gradient(obj: SmoothObjective, batch: np.ndarray, x: np.ndarray) -> np
         raise ValueError("batch must be nonempty")
     cols, vals, rid = batch_slabs(obj.dataset, batch)
     z = np.bincount(rid, weights=vals * x[cols], minlength=batch.size)
-    b = obj.dataset.labels[batch]
-    if obj.loss is LossKind.SQUARED_ERROR:
-        coef = z - b
-    else:
-        coef = -b * expit(-b * z)
+    coef = LOSSES[obj.loss].coef(z, obj.dataset.labels[batch])
     acc = np.bincount(cols, weights=coef[rid] * vals, minlength=obj.d)
     acc += (batch.size * obj.ridge) * x
     return acc
@@ -262,22 +280,17 @@ def batch_gradient(obj: SmoothObjective, batch: np.ndarray, x: np.ndarray) -> np
 def full_gradient(obj: SmoothObjective, x: np.ndarray) -> np.ndarray:
     """grad F(x) = (1/n) sum_i grad f_i(x), fixed-order vectorized reduction."""
     A = obj.dataset.to_csr()
-    z = A @ x
-    b = obj.dataset.labels
-    if obj.loss is LossKind.SQUARED_ERROR:
-        coef = z - b
-    else:
-        coef = -b * expit(-b * z)
+    coef = LOSSES[obj.loss].coef(A @ x, obj.dataset.labels)
     return (A.T @ coef) / obj.n + obj.ridge * x
 
 
 def _hess_weights(obj, batch, x):
     """Per-row curvature weights w_i at x: hess f_i = w_i a_i a_i' + ridge I."""
-    if obj.loss is LossKind.SQUARED_ERROR:
-        return np.ones(batch.size)
+    loss = LOSSES[obj.loss]
+    if loss.curvature is None:  # constant: no margins needed
+        return np.full(batch.size, loss.curvature_bound)
     z = batch_margins(obj.dataset, batch, x)
-    s = expit(obj.dataset.labels[batch] * z)
-    return s * (1.0 - s)
+    return loss.curvature(z, obj.dataset.labels[batch])
 
 
 def hessian_vec(obj: SmoothObjective, batch: np.ndarray, x: np.ndarray,

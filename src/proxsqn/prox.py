@@ -23,6 +23,7 @@ and both are independent of the iterative subproblem oracle below).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,29 +123,35 @@ def _diag_prox(reg, z, eta_over_diag):
     return _soft_threshold(z, eta_over_diag * reg.lambda1)
 
 
-def _make_rootfn(reg, prob):
+def _root_parts(reg, prob):
+    """(w, t): w = D^{-1} u and the per-coordinate L1 threshold
+    t = (eta / D) * lambda1, the one _diag_prox applies."""
+    return prob.rank1 / prob.diag, (prob.eta / prob.diag) * reg.lambda1
+
+
+def _make_rootfn(prob, w, t):
     """Returns (g, y_of_beta, state) for the scalar root equation."""
-    u = prob.rank1
-    w = u / prob.diag                      # D^{-1} u
-    eod = prob.eta / prob.diag
-    ux = float(u @ prob.x)
+    u, x = prob.rank1, prob.x
+    ux = float(u.dot(x))  # dot, not @: same ddot with less call overhead
     sgn = float(prob.sign)
     count = [0]
+    last = [None, None]  # the root is evaluated by g, then returned by y_of
 
     def y_of(beta):
-        z = prob.x - (sgn * beta) * w
-        return _diag_prox(reg, z, eod)
+        if beta is not last[0]:
+            last[0], last[1] = beta, _soft_threshold(x - (sgn * beta) * w, t)
+        return last[1]
 
     def g(beta):
         count[0] += 1
-        return ux - float(u @ y_of(beta)) + beta
+        return ux - float(u.dot(y_of(beta))) + beta
 
     return g, y_of, count
 
 
 def _solve_bisect(reg, prob):
     """Safeguarded route: geometric bracket expansion, bisection, secant polish."""
-    g, y_of, count = _make_rootfn(reg, prob)
+    g, y_of, count = _make_rootfn(prob, *_root_parts(reg, prob))
     unorm = float(np.linalg.norm(prob.rank1))
     xnorm = float(np.linalg.norm(prob.x))
     lo = -unorm * xnorm - 1.0
@@ -193,18 +200,20 @@ def _solve_exact(reg, prob):
     activates or deactivates; between consecutive breakpoints g is affine, so
     a secant step on the bracketing segment is exact.
     """
-    g, y_of, count = _make_rootfn(reg, prob)
-    u = prob.rank1
-    w = u / prob.diag
-    t = (prob.eta / prob.diag) * reg.lambda1
-    sgn = float(prob.sign)
+    w, t = _root_parts(reg, prob)
+    g, y_of, count = _make_rootfn(prob, w, t)
+    x, sw = prob.x, float(prob.sign) * w
     live = w != 0.0
-    if not np.any(live):
+    if not live.any():
         return 0.0, g, y_of, count
+    if not live.all():
+        x, t, sw = x[live], t[live], sw[live]
     # x_j - sgn*beta*w_j = +-t_j
-    bp = np.concatenate([(prob.x[live] - t[live]) / (sgn * w[live]),
-                         (prob.x[live] + t[live]) / (sgn * w[live])])
-    bp = np.sort(bp[np.isfinite(bp)])  # duplicates are harmless in the search
+    bp = np.concatenate([(x - t) / sw, (x + t) / sw])
+    finite = np.isfinite(bp)
+    if not finite.all():
+        bp = bp[finite]
+    bp.sort()  # duplicates are harmless in the search
     # lazy binary search for the first breakpoint with g >= 0; g is monotone
     # increasing so ~log2(2d) evaluations bracket the linear segment
     cache: dict[int, float] = {}
@@ -247,7 +256,7 @@ def scaled_prox_info(reg: Regularizer, prob: ScaledProxProblem,
         # prox of 0 in any metric is the identity
         return prob.x.copy(), RootInfo(0.0, 0.0, 0, "closed")
     u = prob.rank1
-    if float(np.linalg.norm(u)) < _U_ZERO_TOL:
+    if math.sqrt(float(u.dot(u))) < _U_ZERO_TOL:  # ||u||, as np.linalg.norm
         eod = prob.eta / prob.diag
         return _diag_prox(reg, prob.x, eod), RootInfo(0.0, 0.0, 0, "diag")
     if method == "auto":

@@ -23,14 +23,12 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from scipy.special import expit
-
 from .errors import EnumerationLimitError
-from .model import LossKind, SmoothObjective, batch_slabs, full_gradient
+from .model import LOSSES, SmoothObjective, batch_slabs, full_gradient
 
 _ENUM_LIMIT = 100000
 
@@ -90,8 +88,7 @@ def _floyd_sample(rng, n, b):
     lo = n - b
     draws = rng.integers(0, np.arange(lo + 1, n + 1))
     chosen = set()
-    for j in range(b):
-        t = int(draws[j])
+    for j, t in enumerate(draws.tolist()):
         chosen.add(t if t not in chosen else lo + j)
     return np.array(sorted(chosen), dtype=np.int64)
 
@@ -166,14 +163,10 @@ def vr_gradient(obj: SmoothObjective, snapshot: SnapshotState, batch: Batch,
     cols, vals, rid = batch_slabs(obj.dataset, batch.indices)
     zs = np.bincount(rid, weights=vals * x[cols], minlength=k)
     zts = np.bincount(rid, weights=vals * xt[cols], minlength=k)
-    if obj.loss is LossKind.SQUARED_ERROR:
-        coefs = zs - zts
-    else:
-        bl = obj.dataset.labels[batch.indices]
-        coefs = bl * (expit(-bl * zts) - expit(-bl * zs))
-    cw = coefs / batch.weights
+    bl = obj.dataset.labels[batch.indices]
+    cw = LOSSES[obj.loss].coef_diff(zs, zts, bl) / batch.weights
     diff = np.bincount(cols, weights=cw[rid] * vals, minlength=obj.d)
-    diff += (obj.ridge * float(np.sum(1.0 / batch.weights))) * (x - xt)
+    diff += (obj.ridge * float((1.0 / batch.weights).sum())) * (x - xt)
     return diff + snapshot.full_grad
 
 

@@ -15,25 +15,27 @@ ProxSQN epoch structure (epochs s = 1..S, inner iterations j = 0..m-1, global
   * the epoch ends with x reset to the inner-iterate average xt_s, which is
     also the traced point.
 
-ProxSVRG is the same loop with the metric machinery disabled (identical
-gradient-batch RNG stream, so it matches a metric-disabled ProxSQN run bit
-for bit). ProxGD (ISTA), FISTA, and a dense-Hessian proximal Newton serve as
-deterministic baselines.
+ProxSVRG is the same loop without the metric. Hessian batches come from a
+stream of their own, so ProxSQN and ProxSVRG draw the same gradient batches.
+ProxGD (ISTA), FISTA and reference_solution share one full-gradient
+proximal-gradient iteration, with FISTA momentum and function-value restart
+as internal switches; a dense-Hessian proximal Newton is the last baseline.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DivergenceError, NegativeCurvatureError
 from .metric import MetricBounds, CurvaturePair, Metric, apply_inverse, \
     build_metric, metric_as_splitting
-from .model import LossKind, SmoothObjective, dense_batch_hessian, \
+from .model import LOSSES, SmoothObjective, dense_batch_hessian, \
     full_gradient, hessian_vec, smooth_value
 from .prox import Regularizer, RegKind, ScaledProxProblem, prox, reg_value, \
     scaled_prox
@@ -107,40 +109,46 @@ def composite_value(obj: SmoothObjective, reg: Regularizer,
 
 
 def run(obj: SmoothObjective, reg: Regularizer, config: SolverConfig,
-        p_star: float | None = None,
-        metric_enabled: bool | None = None) -> RunResult:
-    """Run one solver to completion, emitting one trace record per epoch.
-
-    metric_enabled overrides the quasi-Newton machinery for PROX_SQN (used by
-    the baseline-equivalence checks); PROX_SVRG always runs with it off.
-    """
+        p_star: float | None = None) -> RunResult:
+    """Run one solver to completion, emitting one trace record per epoch."""
     kind = config.kind
     if kind in (SolverKind.PROX_SQN, SolverKind.PROX_SVRG):
-        enabled = kind is SolverKind.PROX_SQN
-        if metric_enabled is not None:
-            enabled = enabled and metric_enabled
-        return _run_inner_loop(obj, reg, config, p_star, enabled)
-    if kind is SolverKind.PROX_GD:
-        return _run_prox_gd(obj, reg, config, p_star)
-    if kind is SolverKind.FISTA:
-        return _run_fista(obj, reg, config, p_star)
+        return _run_inner_loop(obj, reg, config, p_star)
+    if kind in (SolverKind.PROX_GD, SolverKind.FISTA):
+        return _run_full_gradient(obj, reg, config, p_star,
+                                  momentum=kind is SolverKind.FISTA)
     if kind is SolverKind.PROX_NEWTON_FULL:
         return _run_prox_newton(obj, reg, config, p_star)
     raise ValueError(f"unknown solver kind {kind}")
 
 
-def _guard(p_val, p_init, factor):
-    if not math.isfinite(p_val) or p_val > factor * max(abs(p_init), 1.0):
-        raise DivergenceError(
-            f"objective {p_val:.6g} exceeded {factor:g} x initial {p_init:.6g}"
-        )
+def _recorder(obj, reg, config, p_star):
+    """(records, record): record(...) evaluates P(x), raises DivergenceError
+    past the guard, and appends a TraceRecord."""
+    t0 = time.perf_counter_ns()
+    p_init = composite_value(obj, reg, np.zeros(obj.d))
+    limit = config.divergence_factor * max(abs(p_init), 1.0)
+    records = []
+
+    def record(epoch, iteration, x, grad_evals, rebuilds):
+        p_val = composite_value(obj, reg, x)
+        if not math.isfinite(p_val) or p_val > limit:
+            raise DivergenceError(
+                f"objective {p_val:.6g} exceeded "
+                f"{config.divergence_factor:g} x initial {p_init:.6g}")
+        records.append(TraceRecord(
+            epoch, iteration, p_val,
+            None if p_star is None else p_val - p_star,
+            grad_evals, rebuilds, time.perf_counter_ns() - t0))
+
+    return records, record
 
 
-def _run_inner_loop(obj, reg, config, p_star, metric_enabled):
+def _run_inner_loop(obj, reg, config, p_star):
+    use_metric = config.kind is SolverKind.PROX_SQN
     d = obj.d
     x = np.zeros(d)
-    t0 = time.perf_counter_ns()
-    p_init = composite_value(obj, reg, x)
+    records, record = _recorder(obj, reg, config, p_star)
     scheme = SamplingScheme(config.scheme, config.b, config.seed)
     # independent streams for gradient batches and Hessian batches, so the
     # gradient stream is identical whether or not metric rebuilding runs
@@ -159,7 +167,6 @@ def _run_inner_loop(obj, reg, config, p_star, metric_enabled):
     anomalies = 0
     scaled_calls = 0
     first_scaled: int | None = None
-    records = []
     for s in range(1, config.epochs + 1):
         snapshot = make_snapshot(obj, x)
         grad_evals += obj.n
@@ -171,7 +178,7 @@ def _run_inner_loop(obj, reg, config, p_star, metric_enabled):
             v = vr_gradient(obj, snapshot, batch, x)
             grad_evals += obj.n if batch.full else 2 * batch.indices.size
             warm = (g - 1) < 2 * Z
-            if warm or not metric_enabled or metric is None:
+            if warm or metric is None:
                 x = prox(reg, x - eta * v, eta)
             else:
                 prox_prob.x = x - eta * apply_inverse(metric, v)
@@ -180,7 +187,7 @@ def _run_inner_loop(obj, reg, config, p_star, metric_enabled):
                 if first_scaled is None:
                     first_scaled = g
             xsum += x
-            if metric_enabled and g % Z == 0:
+            if use_metric and g % Z == 0:
                 xhat = window.mean(axis=0)
                 if xhat_prev is None:
                     xhat_prev = xhat
@@ -190,7 +197,8 @@ def _run_inner_loop(obj, reg, config, p_star, metric_enabled):
                     if float(np.linalg.norm(sr)) <= 1e-14 * (1.0 + float(np.linalg.norm(xhat))):
                         anomalies += 1
                     else:
-                        T = _hessian_batch(hess_rng, obj.n, config.b_hessian)
+                        T = _floyd_sample(hess_rng, obj.n,
+                                          min(config.b_hessian, obj.n))
                         yr = hessian_vec(obj, T, xhat, sr)
                         try:
                             metric = build_metric(CurvaturePair(sr, yr),
@@ -204,60 +212,40 @@ def _run_inner_loop(obj, reg, config, p_star, metric_enabled):
                         except NegativeCurvatureError:
                             anomalies += 1
         x = xsum / config.m
-        p_val = composite_value(obj, reg, x)
-        _guard(p_val, p_init, config.divergence_factor)
-        records.append(TraceRecord(
-            epoch=s, iteration=s * config.m, objective=p_val,
-            subopt=None if p_star is None else p_val - p_star,
-            grad_evals=grad_evals, metric_rebuilds=rebuilds,
-            elapsed_ns=time.perf_counter_ns() - t0))
+        record(s, s * config.m, x, grad_evals, rebuilds)
     return RunResult(x, records, grad_evals, rebuilds, anomalies,
                      scaled_calls, first_scaled)
 
 
-def _hessian_batch(rng, n, b_h):
-    return _floyd_sample(rng, n, min(b_h, n))
-
-
-def _run_prox_gd(obj, reg, config, p_star):
-    x = np.zeros(obj.d)
-    t0 = time.perf_counter_ns()
-    p_init = composite_value(obj, reg, x)
-    grad_evals = 0
-    records = []
-    for k in range(1, config.epochs + 1):
-        x = prox(reg, x - config.eta * full_gradient(obj, x), config.eta)
-        grad_evals += obj.n
-        p_val = composite_value(obj, reg, x)
-        _guard(p_val, p_init, config.divergence_factor)
-        records.append(TraceRecord(k, k, p_val,
-                                   None if p_star is None else p_val - p_star,
-                                   grad_evals, 0,
-                                   time.perf_counter_ns() - t0))
-    return RunResult(x, records, grad_evals, 0, 0, 0, None)
-
-
-def _run_fista(obj, reg, config, p_star):
-    x = np.zeros(obj.d)
-    y = x.copy()
+def _prox_gradient(obj, reg, eta, momentum=False, restart=False):
+    """Yield x+ = prox_{eta R}(y - eta grad F(y)) from x = 0, where y is the
+    last iterate or, with momentum, the FISTA extrapolation; restart drops
+    the momentum whenever P increases (evaluated only for that test)."""
+    x = y = np.zeros(obj.d)
     t = 1.0
-    t0 = time.perf_counter_ns()
-    p_init = composite_value(obj, reg, x)
-    grad_evals = 0
-    records = []
-    for k in range(1, config.epochs + 1):
-        x_next = prox(reg, y - config.eta * full_gradient(obj, y), config.eta)
-        grad_evals += obj.n
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        y = x_next + ((t - 1.0) / t_next) * (x_next - x)
-        x, t = x_next, t_next
-        p_val = composite_value(obj, reg, x)
-        _guard(p_val, p_init, config.divergence_factor)
-        records.append(TraceRecord(k, k, p_val,
-                                   None if p_star is None else p_val - p_star,
-                                   grad_evals, 0,
-                                   time.perf_counter_ns() - t0))
-    return RunResult(x, records, grad_evals, 0, 0, 0, None)
+    p_prev = math.inf
+    while True:
+        x_next = prox(reg, y - eta * full_gradient(obj, y), eta)
+        yield x_next
+        p_val = composite_value(obj, reg, x_next) if restart else -math.inf
+        if not momentum or p_val > p_prev:
+            t = 1.0
+            y = x_next
+        else:
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            y = x_next + ((t - 1.0) / t_next) * (x_next - x)
+            t = t_next
+        p_prev = p_val
+        x = x_next
+
+
+def _run_full_gradient(obj, reg, config, p_star, momentum):
+    """ProxGD (ISTA), or FISTA with momentum: one full gradient per epoch."""
+    records, record = _recorder(obj, reg, config, p_star)
+    steps = _prox_gradient(obj, reg, config.eta, momentum)
+    for k, x in zip(range(1, config.epochs + 1), steps):
+        record(k, k, x, k * obj.n, 0)
+    return RunResult(x, records, config.epochs * obj.n, 0, 0, 0, None)
 
 
 def _run_prox_newton(obj, reg, config, p_star):
@@ -270,26 +258,18 @@ def _run_prox_newton(obj, reg, config, p_star):
     if obj.d > config.dense_limit:
         raise ValueError(f"d = {obj.d} exceeds dense limit {config.dense_limit}")
     x = np.zeros(obj.d)
-    t0 = time.perf_counter_ns()
-    p_init = composite_value(obj, reg, x)
-    grad_evals = 0
-    records = []
+    records, record = _recorder(obj, reg, config, p_star)
     all_rows = np.arange(obj.n, dtype=np.int64)
     for k in range(1, config.epochs + 1):
         g = full_gradient(obj, x)
-        grad_evals += obj.n
         H = dense_batch_hessian(obj, all_rows, x, config.dense_limit) / obj.n
         if reg.kind is RegKind.ZERO or reg.lambda1 == 0.0:
             x = x - config.eta * np.linalg.solve(H, g)
         else:
             x = _newton_subproblem(H, g, x, reg, config.eta)
-        p_val = composite_value(obj, reg, x)
-        _guard(p_val, p_init, config.divergence_factor)
-        records.append(TraceRecord(k, k, p_val,
-                                   None if p_star is None else p_val - p_star,
-                                   grad_evals, k,
-                                   time.perf_counter_ns() - t0))
-    return RunResult(x, records, grad_evals, config.epochs, 0, 0, None)
+        record(k, k, x, k * obj.n, k)
+    return RunResult(x, records, config.epochs * obj.n, config.epochs, 0, 0,
+                     None)
 
 
 def _newton_subproblem(H, g, x, reg, eta, tol=1e-12, max_iter=20000):
@@ -376,7 +356,7 @@ def estimate_smoothness(obj: SmoothObjective, iters: int = 200,
     curvature bound (1/4) A'A / n + ridge.
     """
     A = obj.dataset.to_csr()
-    scale = 1.0 if obj.loss is LossKind.SQUARED_ERROR else 0.25
+    scale = LOSSES[obj.loss].curvature_bound
     rng = make_rng(seed)
     v = rng.standard_normal(obj.d)
     v /= np.linalg.norm(v)
@@ -398,31 +378,12 @@ def reference_solution(obj: SmoothObjective, reg: Regularizer,
     Stops when the fixed-point residual ||x - prox_{eta R}(x - eta grad F)||
     / eta falls below tol. Raises ConvergenceError at the iteration cap.
     """
-    L = estimate_smoothness(obj)
-    eta = 1.0 / L
-    x = np.zeros(obj.d)
-    y = x.copy()
-    t = 1.0
-    p_prev = math.inf
-    for _ in range(max_iter):
-        g = full_gradient(obj, y)
-        x_next = prox(reg, y - eta * g, eta)
-        gx = full_gradient(obj, x_next)
-        fp = prox(reg, x_next - eta * gx, eta)
-        resid = float(np.linalg.norm(x_next - fp)) / eta
-        if resid <= tol:
-            return x_next, composite_value(obj, reg, x_next)
-        # function-value restart keeps momentum useful under strong convexity
-        p_val = composite_value(obj, reg, x_next)
-        if p_val > p_prev:
-            t = 1.0
-            y = x_next
-        else:
-            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            y = x_next + ((t - 1.0) / t_next) * (x_next - x)
-            t = t_next
-        p_prev = p_val
-        x = x_next
+    eta = 1.0 / estimate_smoothness(obj)
+    steps = _prox_gradient(obj, reg, eta, momentum=True, restart=True)
+    for x in itertools.islice(steps, max_iter):
+        fp = prox(reg, x - eta * full_gradient(obj, x), eta)
+        if float(np.linalg.norm(x - fp)) / eta <= tol:
+            return x, composite_value(obj, reg, x)
     raise ConvergenceError(
         f"reference solution did not reach tol={tol} in {max_iter} iterations"
     )

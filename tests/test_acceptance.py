@@ -368,10 +368,10 @@ def test_criterion_09_degenerate_reductions(report):
         _, p_star = reference_solution(obj, reg, tol=1e-12)
         eta = 0.3
         sqn = run(obj, reg,
-                  SolverConfig(kind=SolverKind.PROX_SQN, epochs=100, eta=eta,
+                  SolverConfig(kind=SolverKind.PROX_SVRG, epochs=100, eta=eta,
                                m=1, b=obj.n, b_hessian=10, metric_period=10,
                                seed=0),
-                  p_star=p_star, metric_enabled=False)
+                  p_star=p_star)
         gd = run(obj, reg,
                  SolverConfig(kind=SolverKind.PROX_GD, epochs=100, eta=eta),
                  p_star=p_star)

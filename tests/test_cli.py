@@ -1,7 +1,14 @@
+import os
+import re
+import subprocess
+import sys
+import time
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import proxsqn
 from proxsqn import (
     SyntheticSpec,
     datasets_equal,
@@ -137,6 +144,72 @@ def test_run_malformed_dataset(runner, tmp_path):
     res = runner.invoke(main, ["run", cfg])
     assert res.exit_code == 1
     assert "line 1, column 5" in res.stderr
+
+
+def exited_cleanly(res, code):
+    # a SystemExit is the CLI's own exit; anything else is an escaped
+    # exception, which the real command line would print as a traceback
+    return res.exit_code == code and isinstance(res.exception, SystemExit)
+
+
+@pytest.mark.parametrize("line,key", [(2, "ridge"), (3, "lambda1")])
+def test_run_nonfinite_config_exits_fast(tmp_path, line, key):
+    # past the parser, a nan ridge spins the reference solver and a nan
+    # lambda1 fails inside Regularizer; the parser must stop both
+    cfg = write_config(tmp_path, re.sub(rf"^{key} = .*$", f"{key} = nan",
+                                        CONFIG, flags=re.M))
+    src = os.path.dirname(os.path.dirname(proxsqn.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    t0 = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "proxsqn.cli", "--output",
+                           str(tmp_path / "out"), "run", cfg],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert time.monotonic() - t0 < 15.0
+    assert proc.returncode == 1
+    assert f"line {line}: {key}: expected a finite float, got 'nan'" \
+        in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_run_nonfinite_dataset(runner, tmp_path):
+    bad = tmp_path / "bad.libsvm"
+    bad.write_text("1.0 1:2.0\n-1.0 1:nan\n")
+    cfg = write_config(
+        tmp_path,
+        "loss = logistic_ridge\nridge = 0.1\nlambda1 = 0.0\n"
+        f"dataset = {bad}\nsolvers = prox_gd\n")
+    res = runner.invoke(main, ["run", cfg])
+    assert exited_cleanly(res, 1)
+    assert "line 2, column 8: non-finite value 'nan'" in res.stderr
+
+
+def test_run_invalid_objective_exit_1(runner, tmp_path):
+    # an empty row has L_i = 0 without ridge, which the objective rejects
+    data = tmp_path / "data.libsvm"
+    data.write_text("1.0\n2.0 1:1.0\n")
+    cfg = write_config(
+        tmp_path,
+        "loss = squared_error\nridge = 0.0\nlambda1 = 0.0\n"
+        f"dataset = {data}\nsolvers = prox_gd\n")
+    res = runner.invoke(main, ["run", cfg])
+    assert exited_cleanly(res, 1)
+    assert "L_i > 0" in res.stderr
+
+
+def test_run_solver_error_exit_1(runner, tmp_path):
+    # one solver rejects its batch size; the others still run and write
+    text = (CONFIG.replace("synthetic.n = 40", "synthetic.n = 30")
+            .replace("solver.sqn.b = 4", "solver.sqn.b = 50")
+            .replace("solvers = sqn, prox_gd", "solvers = sqn, fista")
+            .replace("solver.prox_gd.", "solver.fista."))
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "traces"
+    res = runner.invoke(main, ["--output", str(out), "run", cfg])
+    assert exited_cleanly(res, 1)
+    assert "sqn                error: batch size 50 exceeds n = 30" \
+        in res.output
+    assert len(read_lines(out / "exp_fista.csv")) == 1 + 10
+    assert not (out / "exp_sqn.csv").exists()
 
 
 def test_run_divergence_exit_2(runner, tmp_path):

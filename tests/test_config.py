@@ -140,6 +140,21 @@ def test_parse_errors(text, fragment):
     assert fragment in str(err.value), str(err.value)
 
 
+@pytest.mark.parametrize("key", ["ridge", "lambda1", "ref_tol",
+                                 "synthetic.noise", "solver.prox_gd.eta",
+                                 "solver.prox_gd.divergence_factor"])
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_parse_rejects_nonfinite_floats(key, raw):
+    lines = ["loss = squared_error", "ridge = 0.1", "lambda1 = 0.0",
+             "synthetic.n = 5", "synthetic.d = 5", "solvers = prox_gd"]
+    lines = [ln for ln in lines if not ln.startswith(key + " ")]
+    lines.append(f"{key} = {raw}")
+    with pytest.raises(ConfigError) as err:
+        parse_config("\n".join(lines) + "\n")
+    assert f"line {len(lines)}: {key}: expected a finite float, " \
+        f"got {raw!r}" in str(err.value)
+
+
 def test_parse_without_solver_requirement():
     cfg = parse_config(
         "loss = squared_error\nridge = 0.0\nlambda1 = 0.0\n"

@@ -69,6 +69,22 @@ def test_parse_error_positions(text, line, col, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("text,line,col,fragment", [
+    ("nan 1:2.0\n", 1, 1, "non-finite label 'nan'"),
+    ("1.0 1:2.0\n\n  -inf 2:1.0\n", 3, 3, "non-finite label '-inf'"),
+    ("1.0 1:2.0 3:inf\n", 1, 13, "non-finite value 'inf'"),
+    ("1.0 1:2.0\n-1.0  2:NaN\n", 2, 9, "non-finite value 'NaN'"),
+    ("1.0 1:1e400\n", 1, 7, "non-finite value '1e400'"),
+])
+@pytest.mark.parametrize("binary_labels", [False, True])
+def test_parse_rejects_nonfinite(text, line, col, fragment, binary_labels):
+    # binary_labels would otherwise map a nan label to +1 silently
+    with pytest.raises(LibsvmFormatError) as err:
+        parse_libsvm(text, binary_labels=binary_labels)
+    assert (err.value.line, err.value.column) == (line, col)
+    assert fragment in str(err.value)
+
+
 def test_parse_error_column_counts_leading_spaces():
     # positions refer to the raw line, not a stripped copy
     with pytest.raises(LibsvmFormatError) as err:

@@ -179,9 +179,11 @@ def test_hessian_vec_matches_dense(fixture, request):
         assert np.linalg.eigvalsh(H)[0] > 0  # ridge keeps it PD
 
 
-def test_hessian_vec_matches_gradient_difference(log_small):
-    # directional finite difference of the batch gradient
-    obj = log_small
+@pytest.mark.parametrize("fixture", ["sq_small", "log_small"])
+def test_hessian_vec_matches_gradient_difference(fixture, request):
+    # directional finite difference of the batch gradient: independent of
+    # the curvature weights hessian_vec and dense_batch_hessian share
+    obj = request.getfixturevalue(fixture)
     rng = make_rng(16)
     x = rng.standard_normal(obj.d)
     s = rng.standard_normal(obj.d)

@@ -9,6 +9,7 @@ from proxsqn import (
     LossKind,
     RegKind,
     Regularizer,
+    Sampler,
     ScaledProxProblem,
     SchemeKind,
     SmoothObjective,
@@ -99,12 +100,12 @@ def test_svrg_full_batch_zero_reg_is_plain_gd(midsize, zero_reg):
 
 
 def test_sqn_identity_metric_matches_prox_gd(midsize, lasso_reg):
-    # m = 1, b = n, metric off: the epoch loop is exactly ISTA
+    # m = 1, b = n, no metric (ProxSVRG): the epoch loop is exactly ISTA
     eta = 0.02
     sqn = run(midsize, lasso_reg,
-              SolverConfig(kind=SolverKind.PROX_SQN, epochs=60, eta=eta,
+              SolverConfig(kind=SolverKind.PROX_SVRG, epochs=60, eta=eta,
                            m=1, b=midsize.n, seed=0),
-              p_star=1.0, metric_enabled=False)
+              p_star=1.0)
     gd = run(midsize, lasso_reg,
              SolverConfig(kind=SolverKind.PROX_GD, epochs=60, eta=eta),
              p_star=1.0)
@@ -115,19 +116,26 @@ def test_sqn_identity_metric_matches_prox_gd(midsize, lasso_reg):
     assert np.array_equal(sqn.x, gd.x)
 
 
-def test_svrg_equals_metric_disabled_sqn(midsize, lasso_reg):
-    # identical gradient RNG stream whether or not the metric machinery runs
-    kw = dict(epochs=4, eta=0.03, m=30, b=5, seed=11)
-    svrg = run(midsize, lasso_reg,
-               SolverConfig(kind=SolverKind.PROX_SVRG, **kw))
-    sqn = run(midsize, lasso_reg,
-              SolverConfig(kind=SolverKind.PROX_SQN, **kw),
-              metric_enabled=False)
-    assert np.array_equal(svrg.x, sqn.x)
-    for a, b in zip(svrg.records, sqn.records):
-        assert repr(a.objective) == repr(b.objective)
-    assert svrg.scaled_prox_calls == sqn.scaled_prox_calls == 0
-    assert svrg.first_scaled_iteration is None
+def test_sqn_draws_the_svrg_gradient_batches(midsize, lasso_reg, monkeypatch):
+    # Hessian batches come from their own stream, so switching the metric
+    # on leaves the gradient batches exactly as ProxSVRG draws them
+    draws = []
+    real_draw = Sampler.draw
+
+    def recording_draw(self):
+        batch = real_draw(self)
+        draws[-1].append((batch.indices.tolist(), batch.weights.tolist()))
+        return batch
+
+    monkeypatch.setattr(Sampler, "draw", recording_draw)
+    kw = dict(epochs=3, eta=0.03, m=30, b=5, b_hessian=10, metric_period=5,
+              seed=11)
+    for kind in (SolverKind.PROX_SVRG, SolverKind.PROX_SQN):
+        draws.append([])
+        res = run(midsize, lasso_reg, SolverConfig(kind=kind, **kw))
+    assert res.metric_rebuilds > 0
+    assert len(draws[0]) == 3 * 30
+    assert draws[0] == draws[1]
 
 
 def test_prox_gd_closed_form_quadratic():
@@ -178,7 +186,8 @@ def test_warmup_gating(midsize, lasso_reg):
 
 
 def test_metric_disabled_run_never_scales(midsize, lasso_reg):
-    res = run(midsize, lasso_reg, sqn_config(epochs=2), metric_enabled=False)
+    res = run(midsize, lasso_reg, sqn_config(kind=SolverKind.PROX_SVRG,
+                                             epochs=2))
     assert res.scaled_prox_calls == 0
     assert res.metric_rebuilds == 0
     assert res.first_scaled_iteration is None
