@@ -8,7 +8,7 @@ from .dataio import SyntheticSpec, datasets_equal, generate_synthetic, \
     parse_libsvm, write_libsvm
 from .errors import BracketError, ConfigError, ConvergenceError, \
     DivergenceError, EnumerationLimitError, LibsvmFormatError, \
-    NegativeCurvatureError
+    NegativeCurvatureError, SecantError
 from .metric import CurvaturePair, Metric, MetricBounds, IDENTITY_BOUNDS, \
     apply_inverse, build_metric, dense_inverse, metric_as_splitting, \
     metric_spectrum_bounds

@@ -5,6 +5,10 @@ class NegativeCurvatureError(ValueError):
     """Curvature pair has s'y <= 0, so no positive definite secant metric exists."""
 
 
+class SecantError(ValueError):
+    """A freshly built metric misses the secant condition H^{-1} y = s."""
+
+
 class DivergenceError(RuntimeError):
     """Objective exceeded the divergence guard during a solver run."""
 

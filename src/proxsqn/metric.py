@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeCurvatureError
+from .errors import NegativeCurvatureError, SecantError
 from .model import BatchHessianSpectrum
 
 _SKIP_EPS_DEFAULT = 1e-8
@@ -71,7 +71,9 @@ def build_metric(pair: CurvaturePair, alpha: float,
     """Construct the metric from one curvature pair.
 
     Raises NegativeCurvatureError when y = 0 or tau <= 0 (curvature pair
-    inconsistent with a positive definite batch Hessian). The rank-one term
+    inconsistent with a positive definite batch Hessian), and SecantError
+    when the built metric misses H^{-1} y = s by more than a cheap guard
+    (rounding has broken the construction). The rank-one term
     is skipped (u = 0) when (s - alpha tau y)'y <= eps ||y|| ||s - tau y||,
     and also, defensively, when the squared-norm denominator (s - alpha tau
     y)'y is nonpositive despite the skip test passing; that case is flagged
@@ -97,7 +99,7 @@ def build_metric(pair: CurvaturePair, alpha: float,
     # cheap construction-time secant check; the property suite tightens this
     err = float(np.linalg.norm(apply_inverse(m, y) - s))
     if err > _SECANT_GUARD * (1.0 + float(np.linalg.norm(s))):
-        raise AssertionError(f"secant violation at construction: {err:.3e}")
+        raise SecantError(f"secant violation at construction: {err:.3e}")
     return m
 
 

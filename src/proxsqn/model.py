@@ -17,6 +17,7 @@ full_gradient is the n-average.
 from __future__ import annotations
 
 import enum
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -183,13 +184,13 @@ class SmoothObjective:
         L = np.asarray(self.component_lipschitz, dtype=np.float64)
         if L.shape != (self.dataset.n,):
             raise ValueError("component_lipschitz must have one entry per row")
-        if np.any(L <= 0.0):
+        if not 0.0 <= self.ridge < math.inf:
+            raise ValueError("ridge must be >= 0 and finite")
+        if not np.all(L > 0.0):  # nan fails too
             raise ValueError(
                 "every component needs L_i > 0; add ridge > 0 or drop empty rows"
             )
-        if self.ridge < 0.0:
-            raise ValueError("ridge must be >= 0")
-        if self.strong_convexity < 0.0 or self.strong_convexity > L.min() + 1e-12:
+        if not 0.0 <= self.strong_convexity <= L.min() + 1e-12:
             raise ValueError("need 0 <= mu <= min_i L_i")
         if LOSSES[self.loss].binary_labels and \
                 not np.all(np.isin(self.dataset.labels, (-1.0, 1.0))):

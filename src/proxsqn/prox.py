@@ -12,12 +12,12 @@ y(beta0) where beta0 is the unique root of
     g(beta) = u'(x - y(beta)) + beta.
 
 g is continuous, piecewise linear for the L1 regularizer, and strictly
-increasing (slope >= 1 for sign=+1, >= 1 - u'D^{-1}u > 0 for sign=-1), so
-bracketing plus bisection is unconditionally safe and, for L1, the root is
-available exactly by breakpoint search. Both routes are implemented; the
-exact route is the default for L1 and the bisection route is kept as the
-safeguarded reference path (the two are cross-checked in the test suite,
-and both are independent of the iterative subproblem oracle below).
+increasing (slope >= 1 for sign=+1, >= 1 - u'D^{-1}u > 0 for sign=-1). The
+exact route finds the linear piece holding the root by a bracketed
+semismooth Newton search over the unsorted breakpoints, then takes the exact
+secant step on it; the sorted breakpoint search it replaced is a bit-exact
+test oracle. Bracketing plus bisection is the safeguarded fallback. Both are
+independent of the iterative subproblem oracle below.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .errors import BracketError, ConvergenceError
 _BISECT_WIDTH = 1e-13
 _MAX_DOUBLINGS = 60
 _U_ZERO_TOL = 1e-14
+_NEWTON_PROBES = 8
 
 
 class RegKind(enum.Enum):
@@ -48,8 +49,8 @@ class Regularizer:
     lambda1: float = 0.0
 
     def __post_init__(self):
-        if self.lambda1 < 0.0:
-            raise ValueError("lambda1 must be >= 0")
+        if not 0.0 <= self.lambda1 < math.inf:
+            raise ValueError("lambda1 must be >= 0 and finite")
         if self.kind is RegKind.ZERO and self.lambda1 != 0.0:
             raise ValueError("Zero regularizer cannot carry lambda1")
 
@@ -66,7 +67,7 @@ def _soft_threshold(z, t):
 
 def prox(reg: Regularizer, x: np.ndarray, eta: float) -> np.ndarray:
     """prox_{eta R}(x) under the identity metric."""
-    if eta <= 0.0:
+    if not eta > 0.0:  # rejects nan as well
         raise ValueError("eta must be > 0")
     if reg.kind is RegKind.ZERO or reg.lambda1 == 0.0:
         return x.copy()
@@ -75,7 +76,12 @@ def prox(reg: Regularizer, x: np.ndarray, eta: float) -> np.ndarray:
 
 @dataclass(eq=False)
 class ScaledProxProblem:
-    """One scaled-prox instance: metric diag(D) + sign * u u', step eta, point x."""
+    """One scaled-prox instance: metric diag(D) + sign * u u', step eta, point x.
+
+    Only x may change after construction: what depends on the metric and eta
+    alone is computed once, ||u|| here and D^{-1} u, its nonzero set, the
+    Newton slope weights and the L1 thresholds (per lambda1) on first use.
+    """
 
     diag: np.ndarray
     rank1: np.ndarray
@@ -90,18 +96,39 @@ class ScaledProxProblem:
         if self.diag.ndim != 1 or self.diag.shape != self.rank1.shape \
                 or self.diag.shape != self.x.shape:
             raise ValueError("diag, rank1, x must be 1-d with matching shapes")
-        if np.any(self.diag <= 0.0):
-            raise ValueError("diag must be strictly positive")
+        if not np.all((self.diag > 0.0) & (self.diag < math.inf)):
+            raise ValueError("diag must be strictly positive and finite")
+        if not np.all(np.isfinite(self.rank1)):
+            raise ValueError("rank1 must be finite")
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        if self.eta <= 0.0:
-            raise ValueError("eta must be > 0")
+        if not 0.0 < self.eta < math.inf:
+            raise ValueError("eta must be > 0 and finite")
         if self.sign == -1:
             s = float(np.sum(self.rank1 ** 2 / self.diag))
             if s >= 1.0:
                 raise ValueError(
                     f"metric not positive definite: u'D^-1 u = {s:.6g} >= 1"
                 )
+        u = self.rank1
+        self._unorm = math.sqrt(float(u.dot(u)))  # ||u||, as np.linalg.norm
+        self._lambda1 = None  # _parts builds the rest on the first L1 solve
+
+    def _parts(self, lambda1):
+        """(w, t, t on the live set): w = D^{-1} u and the L1 threshold of
+        the diag(D) metric t = (eta / D) * lambda1, in the order that makes
+        D = c*I bitwise-identical to prox(reg, x, eta / c)."""
+        if self._lambda1 is None:
+            self._w = w = self.rank1 / self.diag
+            sw = float(self.sign) * w
+            self._slope = sw * self.rank1
+            self._live = np.flatnonzero(w)
+            self._sw = sw.take(self._live)
+        if self._lambda1 != lambda1:
+            self._lambda1 = lambda1
+            self._t = (self.eta / self.diag) * lambda1
+            self._t_live = self._t.take(self._live)
+        return self._w, self._t, self._t_live
 
 
 @dataclass
@@ -112,21 +139,6 @@ class RootInfo:
     residual: float
     evaluations: int
     method: str
-
-
-def _diag_prox(reg, z, eta_over_diag):
-    # prox of eta*R in the diag(D) metric: per-coordinate threshold
-    # (eta / D_jj) * lambda1. The (eta / D) * lambda1 evaluation order makes
-    # the D = c*I case bitwise-identical to prox(reg, z, eta / c).
-    if reg.kind is RegKind.ZERO or reg.lambda1 == 0.0:
-        return z.copy()
-    return _soft_threshold(z, eta_over_diag * reg.lambda1)
-
-
-def _root_parts(reg, prob):
-    """(w, t): w = D^{-1} u and the per-coordinate L1 threshold
-    t = (eta / D) * lambda1, the one _diag_prox applies."""
-    return prob.rank1 / prob.diag, (prob.eta / prob.diag) * reg.lambda1
 
 
 def _make_rootfn(prob, w, t):
@@ -151,11 +163,10 @@ def _make_rootfn(prob, w, t):
 
 def _solve_bisect(reg, prob):
     """Safeguarded route: geometric bracket expansion, bisection, secant polish."""
-    g, y_of, count = _make_rootfn(prob, *_root_parts(reg, prob))
-    unorm = float(np.linalg.norm(prob.rank1))
-    xnorm = float(np.linalg.norm(prob.x))
-    lo = -unorm * xnorm - 1.0
-    hi = unorm * xnorm + 1.0
+    w, t, _ = prob._parts(reg.lambda1)
+    g, y_of, count = _make_rootfn(prob, w, t)
+    hi = prob._unorm * float(np.linalg.norm(prob.x)) + 1.0
+    lo = -hi
     width = hi - lo
     glo, ghi = g(lo), g(hi)
     k = 0
@@ -197,55 +208,45 @@ def _solve_exact(reg, prob):
     """Exact root of the piecewise-linear g for the L1 regularizer.
 
     Breakpoints are the beta where a coordinate of the inner soft threshold
-    activates or deactivates; between consecutive breakpoints g is affine, so
-    a secant step on the bracketing segment is exact.
+    activates or deactivates; g is affine between neighbours, so a secant
+    step on the bracketing segment is exact. Each probe evaluates g at the
+    breakpoint nearest the semismooth Newton point of the last probe (slope
+    1 + sum over y_j != 0 of sign u_j w_j; from beta = 0), closes the
+    bracket and drops the breakpoints outside it. After _NEWTON_PROBES it
+    probes the median, so at most _NEWTON_PROBES + log2(2d) probes are made.
     """
-    w, t = _root_parts(reg, prob)
+    w, t, t_live = prob._parts(reg.lambda1)
     g, y_of, count = _make_rootfn(prob, w, t)
-    x, sw = prob.x, float(prob.sign) * w
-    live = w != 0.0
-    if not live.any():
+    sw = prob._sw
+    if not sw.size:
         return 0.0, g, y_of, count
-    if not live.all():
-        x, t, sw = x[live], t[live], sw[live]
-    # x_j - sgn*beta*w_j = +-t_j
-    bp = np.concatenate([(x - t) / sw, (x + t) / sw])
-    finite = np.isfinite(bp)
-    if not finite.all():
-        bp = bp[finite]
-    bp.sort()  # duplicates are harmless in the search
-    # lazy binary search for the first breakpoint with g >= 0; g is monotone
-    # increasing so ~log2(2d) evaluations bracket the linear segment
-    cache: dict[int, float] = {}
-
-    def geval(i):
-        if i not in cache:
-            cache[i] = g(bp[i])
-        return cache[i]
-
-    lo_i, hi_i = 0, bp.size
-    while lo_i < hi_i:
-        mid = (lo_i + hi_i) // 2
-        if geval(mid) < 0.0:
-            lo_i = mid + 1
+    x = prob.x.take(prob._live)
+    # x_j - sgn*beta*w_j = +-t_j; non-finite ones never enter the bracket
+    cand = np.concatenate([(x - t_live) / sw, (x + t_live) / sw])
+    lo, hi, g_lo, g_hi, target = -math.inf, math.inf, None, None, 0.0
+    while True:
+        # take on the index: boolean indexing is slow on a scattered mask
+        cand = cand.take(np.flatnonzero((cand > lo) & (cand < hi)))
+        if not cand.size:
+            break
+        if count[0] < _NEWTON_PROBES:
+            dist = cand - target
+            b = cand[np.abs(dist, out=dist).argmin()]
+        else:  # safeguard: halve the candidates
+            b = np.partition(cand, cand.size // 2)[cand.size // 2]
+        gb = g(b)
+        if gb < 0.0:
+            lo, g_lo = b, gb
         else:
-            hi_i = mid
-    k = lo_i
-    if k == 0:
-        b_hi, g_hi = bp[0], geval(0)
-        b_lo = b_hi - (1.0 + abs(b_hi))
-        g_lo = g(b_lo)
-    elif k == bp.size:
-        b_lo, g_lo = bp[-1], geval(bp.size - 1)
-        b_hi = b_lo + (1.0 + abs(b_lo))
-        g_hi = g(b_hi)
-    else:
-        b_lo, g_lo = bp[k - 1], geval(k - 1)
-        b_hi, g_hi = bp[k], geval(k)
-    if g_hi == g_lo:
-        beta = b_lo
-    else:
-        beta = b_lo - g_lo * (b_hi - b_lo) / (g_hi - g_lo)
+            hi, g_hi = b, gb
+        target = b - gb / (1.0 + prob._slope.dot(y_of(b) != 0.0))
+    if g_lo is None and g_hi is None:  # no finite breakpoint: g is affine
+        hi, g_hi = 0.0, g(0.0)
+    if g_lo is None:  # root left of every breakpoint
+        g_lo = g(lo := hi - (1.0 + abs(hi)))
+    elif g_hi is None:  # root right of every breakpoint
+        g_hi = g(hi := lo + (1.0 + abs(lo)))
+    beta = lo if g_hi == g_lo else lo - g_lo * (hi - lo) / (g_hi - g_lo)
     return beta, g, y_of, count
 
 
@@ -255,12 +256,10 @@ def scaled_prox_info(reg: Regularizer, prob: ScaledProxProblem,
     if reg.kind is RegKind.ZERO or reg.lambda1 == 0.0:
         # prox of 0 in any metric is the identity
         return prob.x.copy(), RootInfo(0.0, 0.0, 0, "closed")
-    u = prob.rank1
-    if math.sqrt(float(u.dot(u))) < _U_ZERO_TOL:  # ||u||, as np.linalg.norm
-        eod = prob.eta / prob.diag
-        return _diag_prox(reg, prob.x, eod), RootInfo(0.0, 0.0, 0, "diag")
-    if method == "auto":
-        method = "exact"
+    if prob._unorm < _U_ZERO_TOL:  # H is diagonal: prox in the D metric
+        y = _soft_threshold(prob.x, prob._parts(reg.lambda1)[1])
+        return y, RootInfo(0.0, 0.0, 0, "diag")
+    method = "exact" if method == "auto" else method
     if method == "exact":
         beta, g, y_of, count = _solve_exact(reg, prob)
         res = g(beta)

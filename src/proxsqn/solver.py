@@ -72,8 +72,11 @@ class SolverConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.m < 1 or self.metric_period < 1:
             raise ValueError("epochs, m, Z must all be >= 1")
-        if self.eta <= 0.0:
-            raise ValueError("eta must be > 0")
+        # written so that nan fails too
+        if not 0.0 < self.eta < math.inf:
+            raise ValueError("eta must be > 0 and finite")
+        if not self.divergence_factor > 0.0:
+            raise ValueError("divergence_factor must be > 0")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if self.b < 1 or self.b_hessian < 1:
@@ -376,14 +379,19 @@ def reference_solution(obj: SmoothObjective, reg: Regularizer,
     """High-accuracy minimizer by restarted accelerated proximal gradient.
 
     Stops when the fixed-point residual ||x - prox_{eta R}(x - eta grad F)||
-    / eta falls below tol. Raises ConvergenceError at the iteration cap.
+    / eta falls below tol. Raises ConvergenceError at the iteration cap or
+    on a non-finite residual.
     """
     eta = 1.0 / estimate_smoothness(obj)
     steps = _prox_gradient(obj, reg, eta, momentum=True, restart=True)
     for x in itertools.islice(steps, max_iter):
         fp = prox(reg, x - eta * full_gradient(obj, x), eta)
-        if float(np.linalg.norm(x - fp)) / eta <= tol:
+        residual = float(np.linalg.norm(x - fp)) / eta
+        if residual <= tol:
             return x, composite_value(obj, reg, x)
+        if not math.isfinite(residual):
+            raise ConvergenceError(
+                f"reference solution hit a non-finite residual {residual}")
     raise ConvergenceError(
         f"reference solution did not reach tol={tol} in {max_iter} iterations"
     )

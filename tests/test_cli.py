@@ -212,6 +212,21 @@ def test_run_solver_error_exit_1(runner, tmp_path):
     assert not (out / "exp_sqn.csv").exists()
 
 
+def test_run_secant_error_exit_1(runner, tmp_path, monkeypatch):
+    # a metric that misses the secant condition fails only its solver
+    real = proxsqn.metric.apply_inverse
+    monkeypatch.setattr("proxsqn.metric.apply_inverse",
+                        lambda m, v: real(m, v) + 1e-3)
+    cfg = write_config(tmp_path, CONFIG)
+    out = tmp_path / "traces"
+    res = runner.invoke(main, ["--output", str(out), "run", cfg])
+    assert exited_cleanly(res, 1)
+    assert "sqn                error: secant violation at construction" \
+        in res.output
+    assert len(read_lines(out / "exp_prox_gd.csv")) == 1 + 10
+    assert not (out / "exp_sqn.csv").exists()
+
+
 def test_run_divergence_exit_2(runner, tmp_path):
     text = CONFIG.replace("solver.sqn.eta = 0.05", "solver.sqn.eta = 1000.0")
     cfg = write_config(tmp_path, text)

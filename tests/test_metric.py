@@ -7,6 +7,7 @@ from proxsqn import (
     Metric,
     MetricBounds,
     NegativeCurvatureError,
+    SecantError,
     apply_inverse,
     build_metric,
     dense_inverse,
@@ -36,6 +37,20 @@ def test_secant_identity_random_pairs():
         assert not m.skipped
         err = np.linalg.norm(apply_inverse(m, y) - s)
         assert err <= 1e-10 * (1 + np.linalg.norm(s))
+
+
+def test_secant_violation_is_a_typed_value_error(monkeypatch):
+    # a broken H^{-1} y must surface as SecantError, which callers that
+    # handle ValueError (the CLI's per-solver report) catch
+    real = apply_inverse
+    monkeypatch.setattr("proxsqn.metric.apply_inverse",
+                        lambda m, v: real(m, v) + 1e-3)
+    rng = make_rng(32)
+    B = random_spd(rng, 5, 0.4, 4.0)
+    s = rng.standard_normal(5)
+    with pytest.raises(SecantError, match="secant violation"):
+        build_metric(CurvaturePair(s, B @ s), 0.5)
+    assert issubclass(SecantError, ValueError)
 
 
 def test_tau_is_inverse_rayleigh():

@@ -79,6 +79,13 @@ def test_objective_validation(sq_small):
         SmoothObjective.build(ds, LossKind.LOGISTIC_RIDGE, ridge=0.1)
 
 
+@pytest.mark.parametrize("ridge", [float("nan"), float("inf")])
+def test_objective_rejects_nonfinite_ridge(sq_small, ridge):
+    with pytest.raises(ValueError, match="ridge"):
+        SmoothObjective.build(sq_small.dataset, LossKind.SQUARED_ERROR,
+                              ridge=ridge)
+
+
 def test_component_lipschitz_closed_forms(sq_small, log_small):
     ds = sq_small.dataset
     for i in range(ds.n):

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -18,6 +19,9 @@ from proxsqn import (
     subproblem_oracle,
 )
 
+# the module, not the function proxsqn.prox that the package exports
+P = importlib.import_module("proxsqn.prox")
+
 
 def random_problem(rng, d, sign, lam=0.3):
     diag = 0.3 + 2.7 * rng.random(d)
@@ -32,6 +36,81 @@ def random_problem(rng, d, sign, lam=0.3):
     return reg, ScaledProxProblem(diag, u, sign, eta, x)
 
 
+def sorted_search(reg, prob):
+    """The exact route before the Newton search, kept as a bit-exact oracle:
+    sort every finite breakpoint, binary-search the bracketing segment, take
+    the secant on it. Returns (y, beta, residual) as scaled_prox_info does."""
+    w, t = prob.rank1 / prob.diag, (prob.eta / prob.diag) * reg.lambda1
+    g, y_of, count = P._make_rootfn(prob, w, t)
+    x, sw = prob.x, float(prob.sign) * w
+    live = w != 0.0
+    if not live.any():
+        return y_of(0.0), 0.0, float(g(0.0))
+    if not live.all():
+        x, t, sw = x[live], t[live], sw[live]
+    # x_j - sgn*beta*w_j = +-t_j
+    bp = np.concatenate([(x - t) / sw, (x + t) / sw])
+    finite = np.isfinite(bp)
+    if not finite.all():
+        bp = bp[finite]
+    bp.sort()  # duplicates are harmless in the search
+    # lazy binary search for the first breakpoint with g >= 0; g is monotone
+    # increasing so ~log2(2d) evaluations bracket the linear segment
+    cache: dict[int, float] = {}
+
+    def geval(i):
+        if i not in cache:
+            cache[i] = g(bp[i])
+        return cache[i]
+
+    lo_i, hi_i = 0, bp.size
+    while lo_i < hi_i:
+        mid = (lo_i + hi_i) // 2
+        if geval(mid) < 0.0:
+            lo_i = mid + 1
+        else:
+            hi_i = mid
+    k = lo_i
+    if k == 0:
+        b_hi, g_hi = bp[0], geval(0)
+        b_lo = b_hi - (1.0 + abs(b_hi))
+        g_lo = g(b_lo)
+    elif k == bp.size:
+        b_lo, g_lo = bp[-1], geval(bp.size - 1)
+        b_hi = b_lo + (1.0 + abs(b_lo))
+        g_hi = g(b_hi)
+    else:
+        b_lo, g_lo = bp[k - 1], geval(k - 1)
+        b_hi, g_hi = bp[k], geval(k)
+    if g_hi == g_lo:
+        beta = b_lo
+    else:
+        beta = b_lo - g_lo * (b_hi - b_lo) / (g_hi - g_lo)
+    res = g(beta)
+    return y_of(beta), float(beta), float(res)
+
+
+def assert_matches_sorted_search(reg, prob):
+    y, info = scaled_prox_info(reg, prob, method="exact")
+    y_ref, beta_ref, res_ref = sorted_search(reg, prob)
+    assert info.method == "exact"
+    assert y.tobytes() == y_ref.tobytes()
+    assert np.float64(info.beta).tobytes() == np.float64(beta_ref).tobytes()
+    assert np.float64(info.residual).tobytes() == \
+        np.float64(res_ref).tobytes()
+    return info, beta_ref
+
+
+def breakpoints(reg, prob):
+    w = prob.rank1 / prob.diag
+    t = (prob.eta / prob.diag) * reg.lambda1
+    live = w != 0.0
+    sw = prob.sign * w[live]
+    bp = np.concatenate([(prob.x[live] - t[live]) / sw,
+                         (prob.x[live] + t[live]) / sw])
+    return bp[np.isfinite(bp)]
+
+
 # ---------------------------------------------------------------- plain prox
 
 
@@ -43,6 +122,11 @@ def test_prox_closed_forms(zero_reg):
     assert prox(zero_reg, x, 0.3) is not x  # defensive copy
     with pytest.raises(ValueError, match="eta"):
         prox(l1, x, 0.0)
+
+
+def test_prox_rejects_nan_step():
+    with pytest.raises(ValueError, match="eta"):
+        prox(Regularizer(RegKind.L1, 1.0), np.ones(3), math.nan)
 
 
 def test_prox_per_coordinate_oracle():
@@ -78,6 +162,9 @@ def test_reg_value(zero_reg):
 def test_regularizer_validation():
     with pytest.raises(ValueError, match="lambda1"):
         Regularizer(RegKind.L1, -1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="lambda1"):
+            Regularizer(RegKind.L1, bad)
     with pytest.raises(ValueError, match="Zero"):
         Regularizer(RegKind.ZERO, 0.5)
 
@@ -99,6 +186,22 @@ def test_problem_validation():
         ScaledProxProblem(d3, np.array([1.0, 1.0, 0.0]), -1, 0.1, d3)
     # u'D^-1 u < 1 is fine
     ScaledProxProblem(d3, np.array([0.6, 0.6, 0.0]), -1, 0.1, d3)
+
+
+def test_problem_rejects_nonfinite_step():
+    d3 = np.ones(3)
+    for eta in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="eta"):
+            ScaledProxProblem(d3, d3, 1, eta, d3)
+
+
+def test_problem_rejects_nonfinite_diag():
+    d3 = np.ones(3)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="diag"):
+            ScaledProxProblem(np.array([1.0, bad, 1.0]), d3, 1, 0.1, d3)
+    with pytest.raises(ValueError, match="rank1"):
+        ScaledProxProblem(d3, np.array([0.1, math.nan, 0.1]), 1, 0.1, d3)
 
 
 # ---------------------------------------------------------------- scaled prox
@@ -145,8 +248,9 @@ def test_exact_and_bisect_routes_agree():
     # the breakpoint route and the safeguarded bisection route are
     # independent solvers of the same scalar equation
     rng = make_rng(27)
-    for k in range(60):
-        d = 2 + int(rng.integers(0, 12))
+    for k in range(72):
+        d = 2 + int(rng.integers(0, 12)) if k < 60 else \
+            int(rng.choice([200, 2000, 20000]))
         reg, prob = random_problem(rng, d, -1 if k % 2 else 1,
                                    lam=float(rng.choice([0.05, 0.3, 1.5])))
         ye, ie = scaled_prox_info(reg, prob, method="exact")
@@ -156,6 +260,126 @@ def test_exact_and_bisect_routes_agree():
         assert np.linalg.norm(ye - yb) <= 1e-9 * (1 + np.linalg.norm(ye))
         assert abs(ie.residual) < 1e-10
         assert abs(ib.residual) < 1e-10
+
+
+# ---------------------------------------------------------------- exact route vs the sorted search
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_exact_route_bitwise_matches_sorted_search(sign):
+    rng = make_rng(30 + sign)
+    for d in (2, 3, 5, 17, 50, 400, 3000, 20000):
+        for _ in range(12 if d < 3000 else 3):
+            reg, prob = random_problem(rng, d, sign,
+                                       lam=float(rng.choice([0.05, 0.3, 1.5])))
+            assert_matches_sorted_search(reg, prob)
+
+
+def test_exact_route_bitwise_with_dead_coordinates():
+    # about 40% of rank1 is exactly zero, as on a sparse lasso metric
+    rng = make_rng(32)
+    for k in range(20):
+        d = int(rng.choice([10, 300, 20000]))
+        reg, prob = random_problem(rng, d, -1 if k % 2 else 1)
+        u = prob.rank1 * (rng.random(d) >= 0.4)
+        prob = ScaledProxProblem(prob.diag, u, prob.sign, prob.eta, prob.x)
+        assert_matches_sorted_search(reg, prob)
+
+
+def test_exact_route_bitwise_with_duplicate_breakpoints():
+    rng = make_rng(33)
+    reg = Regularizer(RegKind.L1, 0.3)
+    for k in range(20):
+        # a few distinct coordinates, each repeated, on a constant diagonal
+        base = int(rng.integers(1, 6))
+        reps = int(rng.integers(2, 40))
+        x = np.repeat(rng.choice([-2.0, -0.5, 0.0, 0.5, 2.0], base), reps)
+        u = np.repeat(rng.choice([-0.25, 0.25, 0.5], base), reps)
+        sign = -1 if k % 2 else 1
+        if sign == -1:
+            u *= math.sqrt(0.5 / float(u @ u))
+        prob = ScaledProxProblem(np.full(x.size, 2.0), u, sign, 0.7, x)
+        assert np.unique(breakpoints(reg, prob)).size < 2 * x.size
+        assert_matches_sorted_search(reg, prob)
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_exact_route_bitwise_root_outside_every_breakpoint(side):
+    # u > 0 and |x| far past the threshold keep every coordinate on one
+    # side: the root lies left (side -1 with sign +1: k = 0) or right of all
+    rng = make_rng(34)
+    reg = Regularizer(RegKind.L1, 0.1)
+    hits = set()
+    for k in range(20):
+        d = int(rng.choice([3, 40, 5000]))
+        sign = -1 if k % 2 else 1
+        u = 0.1 + rng.random(d)
+        diag = 1.0 + rng.random(d)
+        if sign == -1:
+            u *= math.sqrt(0.5 / float(np.sum(u * u / diag)))
+        x = side * (5.0 + rng.random(d))
+        prob = ScaledProxProblem(diag, u, sign, 0.5, x)
+        info, beta = assert_matches_sorted_search(reg, prob)
+        bp = breakpoints(reg, prob)
+        hits.add("left" if beta < bp.min() else
+                 "right" if beta > bp.max() else "inside")
+    assert hits == {"left", "right"}
+
+
+def test_exact_route_bitwise_with_overflowing_breakpoints():
+    # subnormal rank1 entries give |x_j / w_j| beyond the float range: their
+    # breakpoints are +-inf and must be ignored, not searched
+    rng = make_rng(35)
+    for k in range(20):
+        d = int(rng.choice([6, 80, 20000]))
+        reg, prob = random_problem(rng, d, -1 if k % 2 else 1)
+        tiny = rng.random(d) < 0.3
+        tiny[0] = True
+        u = np.where(tiny, 1e-310, prob.rank1)
+        prob = ScaledProxProblem(prob.diag, u, prob.sign, prob.eta, prob.x)
+        with np.errstate(over="ignore"):
+            assert breakpoints(reg, prob).size < 2 * d
+            assert_matches_sorted_search(reg, prob)
+
+
+def test_exact_route_median_safeguard_bitwise(monkeypatch):
+    # with no Newton probes the search only halves the candidates; it must
+    # still land on the same segment
+    rng = make_rng(36)
+    for probes in (0, 1, 2):
+        monkeypatch.setattr(P, "_NEWTON_PROBES", probes)
+        for k in range(20):
+            d = int(rng.choice([2, 30, 3000]))
+            reg, prob = random_problem(rng, d, -1 if k % 2 else 1)
+            info, _ = assert_matches_sorted_search(reg, prob)
+            bound = probes + math.ceil(math.log2(2 * d)) + 3
+            assert info.evaluations <= bound
+
+
+def test_exact_route_evaluation_count():
+    # Newton probes plus the final residual: far fewer than the
+    # ~log2(2d) of a binary search at d = 2e4
+    rng = make_rng(37)
+    evals = []
+    for k in range(12):
+        reg, prob = random_problem(rng, 20000, -1 if k % 2 else 1)
+        evals.append(scaled_prox_info(reg, prob)[1].evaluations)
+    assert max(evals) <= P._NEWTON_PROBES + 2
+    assert np.median(evals) <= 5
+
+
+def test_problem_reuse_across_points_and_lambdas():
+    # the cached per-metric parts follow x and lambda1: a reused problem
+    # gives the bytes of a fresh one
+    rng = make_rng(38)
+    reg, prob = random_problem(rng, 300, -1)
+    for lam in (0.3, 0.3, 1.2, 0.05, 0.3):
+        reg = Regularizer(RegKind.L1, lam)
+        prob.x = 3.0 * rng.standard_normal(300)
+        fresh = ScaledProxProblem(prob.diag, prob.rank1, -1, prob.eta,
+                                  prob.x)
+        assert scaled_prox(reg, prob).tobytes() == \
+            scaled_prox(reg, fresh).tobytes()
 
 
 def test_root_info_diag_shortcut(lasso_reg):

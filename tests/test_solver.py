@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,17 @@ def test_config_validation():
         sqn_config(alpha=1.0)
     with pytest.raises(ValueError, match="batch"):
         sqn_config(b=0)
+
+
+def test_config_rejects_nan_step():
+    for eta in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="eta"):
+            sqn_config(eta=eta)
+
+
+def test_config_rejects_nan_divergence_factor():
+    with pytest.raises(ValueError, match="divergence_factor"):
+        sqn_config(divergence_factor=math.nan)
 
 
 def test_composite_value(sq_small, lasso_reg):
@@ -403,3 +416,14 @@ def test_reference_solution_threshold_kill(midsize):
 def test_reference_solution_iteration_cap(midsize, lasso_reg):
     with pytest.raises(ConvergenceError):
         reference_solution(midsize, lasso_reg, tol=0.0, max_iter=10)
+
+
+def test_reference_solution_stops_on_nonfinite_residual(midsize, lasso_reg,
+                                                        monkeypatch):
+    # a step 1e6 times too long overflows within a few hundred iterations;
+    # the solve must stop there, not run on to the iteration cap
+    monkeypatch.setattr("proxsqn.solver.estimate_smoothness",
+                        lambda obj: 1e-6)
+    with np.errstate(all="ignore"), \
+            pytest.raises(ConvergenceError, match="non-finite"):
+        reference_solution(midsize, lasso_reg, max_iter=100000)
