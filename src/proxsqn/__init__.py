@@ -15,9 +15,11 @@ from .metric import CurvaturePair, Metric, MetricBounds, IDENTITY_BOUNDS, \
 from .model import BatchHessianSpectrum, Dataset, LossKind, SmoothObjective, \
     batch_gradient, batch_spectrum, component_gradient, dense_batch_hessian, \
     full_gradient, hessian_vec, smooth_value
+# the plain prox function is not re-exported: it would shadow the module
+# proxsqn.prox, so it is imported as `from proxsqn.prox import prox`
 from .prox import RegKind, Regularizer, RootInfo, ScaledProxProblem, \
-    dense_metric, kkt_residual, prox, reg_value, scaled_prox, \
-    scaled_prox_info, subproblem_oracle
+    dense_metric, kkt_residual, reg_value, scaled_prox, scaled_prox_info, \
+    subproblem_oracle
 from .sampler import Batch, EstimatorStats, Sampler, SamplingScheme, \
     SchemeKind, SnapshotState, enumerate_estimator_stats, make_rng, \
     make_snapshot, vr_gradient

@@ -12,12 +12,24 @@ y(beta0) where beta0 is the unique root of
     g(beta) = u'(x - y(beta)) + beta.
 
 g is continuous, piecewise linear for the L1 regularizer, and strictly
-increasing (slope >= 1 for sign=+1, >= 1 - u'D^{-1}u > 0 for sign=-1). The
-exact route finds the linear piece holding the root by a bracketed
-semismooth Newton search over the unsorted breakpoints, then takes the exact
-secant step on it; the sorted breakpoint search it replaced is a bit-exact
-test oracle. Bracketing plus bisection is the safeguarded fallback. Both are
-independent of the iterative subproblem oracle below.
+increasing (slope >= 1 for sign=+1, >= 1 - u'D^{-1}u > 0 for sign=-1). Its
+root is found by one of three routes, tried in this order:
+
+  * newton (method="auto"): bracketed semismooth Newton in continuous beta
+    from beta = 0, which stops once a Newton step keeps the sign pattern of
+    y, so both iterates lie on one affine piece of g;
+  * exact: a bracketed search over the unsorted breakpoints for the linear
+    piece holding the root, then the exact secant step on it;
+  * bisect: bracket expansion, bisection and a secant polish.
+
+Each route hands over to the next when its root misses the residual guard
+|g| <= 1e-9 (1 + |beta|); the Newton route also does so after
+_NEWTON_ITERS steps. A non-finite x, as in a diverging run, makes g inf or
+nan: no route finds a root, and the non-finite y of the last one is
+returned for the caller's divergence guard, not an exception. method="exact"
+and method="bisect" enter the chain further down and serve as cross-checks;
+the sorted breakpoint search the exact route replaced is a bit-exact test
+oracle. All routes are independent of the iterative subproblem oracle below.
 """
 
 from __future__ import annotations
@@ -34,6 +46,7 @@ _BISECT_WIDTH = 1e-13
 _MAX_DOUBLINGS = 60
 _U_ZERO_TOL = 1e-14
 _NEWTON_PROBES = 8
+_NEWTON_ITERS = 10
 
 
 class RegKind(enum.Enum):
@@ -81,6 +94,8 @@ class ScaledProxProblem:
     Only x may change after construction: what depends on the metric and eta
     alone is computed once, ||u|| here and D^{-1} u, its nonzero set, the
     Newton slope weights and the L1 thresholds (per lambda1) on first use.
+    Root solves write into the problem's scratch rows, so one problem serves
+    one solve at a time.
     """
 
     diag: np.ndarray
@@ -113,6 +128,13 @@ class ScaledProxProblem:
         u = self.rank1
         self._unorm = math.sqrt(float(u.dot(u)))  # ||u||, as np.linalg.norm
         self._lambda1 = None  # _parts builds the rest on the first L1 solve
+        self._work = None
+
+    def _scratch(self):
+        """Three length-d work rows, allocated once per problem."""
+        if self._work is None:
+            self._work = np.empty((3, self.x.size))
+        return self._work
 
     def _parts(self, lambda1):
         """(w, t, t on the live set): w = D^{-1} u and the L1 threshold of
@@ -142,17 +164,30 @@ class RootInfo:
 
 
 def _make_rootfn(prob, w, t):
-    """Returns (g, y_of_beta, state) for the scalar root equation."""
+    """Returns (g, y_of_beta, count) for the scalar root equation.
+
+    y_of writes every evaluation into one fresh array, which it returns: a
+    y kept from an earlier beta is overwritten by the next one. The inner
+    point x - sign * beta * w lives in the problem's scratch row 0.
+    """
     u, x = prob.rank1, prob.x
     ux = float(u.dot(x))  # dot, not @: same ddot with less call overhead
     sgn = float(prob.sign)
+    z, y = prob._scratch()[0], np.empty_like(x)
     count = [0]
-    last = [None, None]  # the root is evaluated by g, then returned by y_of
+    last = [None]  # the root is evaluated by g, then returned by y_of
 
     def y_of(beta):
         if beta is not last[0]:
-            last[0], last[1] = beta, _soft_threshold(x - (sgn * beta) * w, t)
-        return last[1]
+            last[0] = beta
+            # _soft_threshold(x - (sgn * beta) * w, t) bit for bit, in place:
+            # at d = 2e4 its temporaries cost more than its arithmetic
+            # (np.sign in place is several times slower than out of place)
+            np.subtract(x, np.multiply(w, sgn * beta, out=z), out=z)
+            np.sign(z, out=y)
+            np.maximum(np.subtract(np.abs(z, out=z), t, out=z), 0.0, out=z)
+            np.multiply(y, z, out=y)
+        return y
 
     def g(beta):
         count[0] += 1
@@ -201,7 +236,7 @@ def _solve_bisect(reg, prob):
             beta = 0.5 * (lo + hi)
     else:
         beta = 0.5 * (lo + hi)
-    return beta, g, y_of, count
+    return beta, g(beta), y_of, count
 
 
 def _solve_exact(reg, prob):
@@ -219,7 +254,7 @@ def _solve_exact(reg, prob):
     g, y_of, count = _make_rootfn(prob, w, t)
     sw = prob._sw
     if not sw.size:
-        return 0.0, g, y_of, count
+        return 0.0, g(0.0), y_of, count
     x = prob.x.take(prob._live)
     # x_j - sgn*beta*w_j = +-t_j; non-finite ones never enter the bracket
     cand = np.concatenate([(x - t_live) / sw, (x + t_live) / sw])
@@ -247,34 +282,91 @@ def _solve_exact(reg, prob):
     elif g_hi is None:  # root right of every breakpoint
         g_hi = g(hi := lo + (1.0 + abs(lo)))
     beta = lo if g_hi == g_lo else lo - g_lo * (hi - lo) / (g_hi - g_lo)
-    return beta, g, y_of, count
+    return beta, g(beta), y_of, count
+
+
+def _solve_newton(reg, prob):
+    """Bracketed semismooth Newton on g in continuous beta, from beta = 0.
+
+    Returns (beta, g(beta), y_of, count), with g(beta) None when the
+    iteration stops without a root. Each step goes to the Newton point of
+    the current iterate (slope 1 + sum over y_j != 0 of sign u_j w_j) or,
+    when that leaves the bracket (lo, hi) given by the signs of g, to the
+    bracket's secant point, or to its midpoint. A Newton step that leaves
+    every coordinate's state (sign of y_j, with 0 a state of its own)
+    unchanged stayed on one affine piece of g, so it landed on the root.
+    """
+    w, t, _ = prob._parts(reg.lambda1)
+    g, y_of, count = _make_rootfn(prob, w, t)
+    slope = prob._slope
+    active, state, prev = prob._scratch()  # active reuses y_of's row
+    lo, hi, g_lo, g_hi = -math.inf, math.inf, None, None
+    beta, newton = 0.0, False
+    for _ in range(_NEWTON_ITERS):
+        gb = g(beta)
+        prev, state = state, prev
+        np.sign(y_of(beta), out=state)
+        if gb == 0.0 or newton and np.array_equal(state, prev):
+            return beta, gb, y_of, count
+        if gb < 0.0:
+            lo, g_lo = beta, gb
+        else:
+            hi, g_hi = beta, gb
+        step = beta - gb / (1.0 + slope.dot(np.abs(state, out=active)))
+        if step == beta:  # no representable move: let the guard judge
+            return beta, gb, y_of, count
+        newton = lo < step < hi
+        if not newton:
+            # with a finite g and slope, only a closed bracket is left; a
+            # non-finite g (x inf or nan) leaves one end open: no root here
+            if g_lo is None or g_hi is None:
+                break
+            step = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+            if not lo < step < hi:
+                step = 0.5 * (lo + hi)
+                if not lo < step < hi:
+                    break
+        beta = step
+    return beta, None, y_of, count
+
+
+# each route returns (beta, g(beta) or None, y_of, count); a method runs its
+# chain until a root passes the guard, and the last route's root stands
+_ROUTES = {"newton": _solve_newton, "exact": _solve_exact,
+           "bisect": _solve_bisect}
+_CHAINS = {"auto": ("newton", "exact", "bisect"), "exact": ("exact", "bisect"),
+           "bisect": ("bisect",)}
 
 
 def scaled_prox_info(reg: Regularizer, prob: ScaledProxProblem,
                      method: str = "auto") -> tuple[np.ndarray, RootInfo]:
-    """Scaled prox plus root diagnostics. method: auto | exact | bisect."""
+    """Scaled prox plus root diagnostics. method: auto | exact | bisect.
+
+    With an L1 term and u != 0, auto runs the Newton route, falls back to
+    the exact route when that misses the residual guard or its iteration
+    cap, and the exact route falls back to the bisection route when it
+    misses the guard in turn. exact and bisect start further down that
+    chain; they are the cross-checks. RootInfo.method names the routes
+    taken, joined by "+", and evaluations counts every g evaluation.
+    """
     if reg.kind is RegKind.ZERO or reg.lambda1 == 0.0:
         # prox of 0 in any metric is the identity
         return prob.x.copy(), RootInfo(0.0, 0.0, 0, "closed")
     if prob._unorm < _U_ZERO_TOL:  # H is diagonal: prox in the D metric
         y = _soft_threshold(prob.x, prob._parts(reg.lambda1)[1])
         return y, RootInfo(0.0, 0.0, 0, "diag")
-    method = "exact" if method == "auto" else method
-    if method == "exact":
-        beta, g, y_of, count = _solve_exact(reg, prob)
-        res = g(beta)
-        if abs(res) > 1e-9 * (1.0 + abs(beta)):
-            # belt and suspenders: fall back to the safeguarded route
-            beta, g, y_of, count2 = _solve_bisect(reg, prob)
-            count[0] += count2[0]
-            res = g(beta)
-            method = "exact+bisect"
-    elif method == "bisect":
-        beta, g, y_of, count = _solve_bisect(reg, prob)
-        res = g(beta)
-    else:
+    chain = _CHAINS.get(method)
+    if chain is None:
         raise ValueError(f"unknown root method {method!r}")
-    return y_of(beta), RootInfo(float(beta), float(res), count[0], method)
+    evals, taken = 0, []
+    for route in chain:
+        beta, res, y_of, count = _ROUTES[route](reg, prob)
+        evals += count[0]
+        taken.append(route)
+        if res is not None and abs(res) <= 1e-9 * (1.0 + abs(beta)):
+            break
+    return y_of(beta), RootInfo(float(beta), float(res), evals,
+                                "+".join(taken))
 
 
 def scaled_prox(reg: Regularizer, prob: ScaledProxProblem,

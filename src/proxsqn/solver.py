@@ -197,7 +197,13 @@ def _run_inner_loop(obj, reg, config, p_star):
                 else:
                     sr = xhat - xhat_prev
                     xhat_prev = xhat
-                    if float(np.linalg.norm(sr)) <= 1e-14 * (1.0 + float(np.linalg.norm(xhat))):
+                    sr_norm = float(np.linalg.norm(sr))
+                    xhat_norm = float(np.linalg.norm(xhat))
+                    # a non-finite xhat at the first anchor shows up in s_r
+                    if not math.isfinite(sr_norm + xhat_norm):
+                        raise DivergenceError(
+                            f"anchor point or step not finite at iteration {g}")
+                    if sr_norm <= 1e-14 * (1.0 + xhat_norm):
                         anomalies += 1
                     else:
                         T = _floyd_sample(hess_rng, obj.n,
@@ -209,6 +215,12 @@ def _run_inner_loop(obj, reg, config, p_star):
                             if metric.anomalous:
                                 anomalies += 1
                             diag, rank1, sign = metric_as_splitting(metric)
+                            # a non-finite y_r, or products of s_r and y_r
+                            # that overflow, leave 1/(alpha tau) or u inf/nan
+                            if not (np.isfinite(diag).all() and diag.all()
+                                    and np.isfinite(rank1).all()):
+                                raise DivergenceError(
+                                    f"curvature pair not finite at iteration {g}")
                             prox_prob = ScaledProxProblem(diag, rank1, sign,
                                                           eta, x)
                             rebuilds += 1

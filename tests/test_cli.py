@@ -239,6 +239,30 @@ def test_run_divergence_exit_2(runner, tmp_path):
     assert not (out / "exp_sqn.csv").exists()
 
 
+@pytest.mark.parametrize("eta, what", [
+    ("1000.0", "anchor point or step not finite"),
+    ("150.0", "curvature pair not finite"),
+])
+def test_run_divergence_at_anchor_exit_2(runner, tmp_path, eta, what):
+    # the anchors, or the curvature built from them, turn non-finite before
+    # any epoch ends: still a divergence (exit 2), not an error in the
+    # metric rebuild (exit 1)
+    text = (CONFIG.replace("synthetic.n = 40", "synthetic.n = 200")
+            .replace("synthetic.d = 6", "synthetic.d = 20")
+            .replace("synthetic.seed = 2", "synthetic.seed = 3")
+            .replace("solver.sqn.eta = 0.05", f"solver.sqn.eta = {eta}")
+            .replace("solver.sqn.m = 40", "solver.sqn.m = 200")
+            .replace("solver.sqn.b = 4", "solver.sqn.b = 5")
+            .replace("solver.sqn.b_hessian = 10", "solver.sqn.b_hessian = 20"))
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "traces"
+    res = runner.invoke(main, ["--output", str(out), "run", cfg])
+    assert res.exit_code == 2, res.output
+    assert f"sqn                diverged: {what} at iteration" in res.output
+    assert (out / "exp_prox_gd.csv").exists()
+    assert not (out / "exp_sqn.csv").exists()
+
+
 def test_run_bad_output_dir_exit_3(runner, tmp_path):
     cfg = write_config(tmp_path, CONFIG)
     blocker = tmp_path / "blocker"

@@ -1,4 +1,3 @@
-import importlib
 import math
 
 import numpy as np
@@ -12,15 +11,14 @@ from proxsqn import (
     dense_metric,
     kkt_residual,
     make_rng,
-    prox,
     reg_value,
     scaled_prox,
     scaled_prox_info,
     subproblem_oracle,
 )
 
-# the module, not the function proxsqn.prox that the package exports
-P = importlib.import_module("proxsqn.prox")
+import proxsqn.prox as P
+from proxsqn.prox import prox
 
 
 def random_problem(rng, d, sign, lam=0.3):
@@ -99,6 +97,25 @@ def assert_matches_sorted_search(reg, prob):
     assert np.float64(info.residual).tobytes() == \
         np.float64(res_ref).tobytes()
     return info, beta_ref
+
+
+def assert_newton_matches_exact(reg, prob):
+    """auto (the Newton route) against the exact route: the same signs of
+    y, a residual at rounding level and y within 1e-12 in the max norm.
+
+    The residual bound adds the rounding floor of g itself: u'x and u'y
+    sum terms up to |u|'|x|, which reaches 1.7e4 when the root lies outside
+    every breakpoint, and there the exact route's residual reaches 7e-12.
+    """
+    y, info = scaled_prox_info(reg, prob)
+    ye, _ = scaled_prox_info(reg, prob, method="exact")
+    assert info.method == "newton"
+    assert np.array_equal(np.sign(y), np.sign(ye))
+    floor = 16 * np.finfo(float).eps * float(np.abs(prob.rank1)
+                                             .dot(np.abs(prob.x)))
+    assert abs(info.residual) <= 1e-12 * (1.0 + abs(info.beta)) + floor
+    assert np.max(np.abs(y - ye)) <= 1e-12
+    return info
 
 
 def breakpoints(reg, prob):
@@ -273,6 +290,7 @@ def test_exact_route_bitwise_matches_sorted_search(sign):
             reg, prob = random_problem(rng, d, sign,
                                        lam=float(rng.choice([0.05, 0.3, 1.5])))
             assert_matches_sorted_search(reg, prob)
+            assert_newton_matches_exact(reg, prob)
 
 
 def test_exact_route_bitwise_with_dead_coordinates():
@@ -284,6 +302,7 @@ def test_exact_route_bitwise_with_dead_coordinates():
         u = prob.rank1 * (rng.random(d) >= 0.4)
         prob = ScaledProxProblem(prob.diag, u, prob.sign, prob.eta, prob.x)
         assert_matches_sorted_search(reg, prob)
+        assert_newton_matches_exact(reg, prob)
 
 
 def test_exact_route_bitwise_with_duplicate_breakpoints():
@@ -301,6 +320,7 @@ def test_exact_route_bitwise_with_duplicate_breakpoints():
         prob = ScaledProxProblem(np.full(x.size, 2.0), u, sign, 0.7, x)
         assert np.unique(breakpoints(reg, prob)).size < 2 * x.size
         assert_matches_sorted_search(reg, prob)
+        assert_newton_matches_exact(reg, prob)
 
 
 @pytest.mark.parametrize("side", [-1.0, 1.0])
@@ -320,6 +340,7 @@ def test_exact_route_bitwise_root_outside_every_breakpoint(side):
         x = side * (5.0 + rng.random(d))
         prob = ScaledProxProblem(diag, u, sign, 0.5, x)
         info, beta = assert_matches_sorted_search(reg, prob)
+        assert_newton_matches_exact(reg, prob)
         bp = breakpoints(reg, prob)
         hits.add("left" if beta < bp.min() else
                  "right" if beta > bp.max() else "inside")
@@ -340,6 +361,7 @@ def test_exact_route_bitwise_with_overflowing_breakpoints():
         with np.errstate(over="ignore"):
             assert breakpoints(reg, prob).size < 2 * d
             assert_matches_sorted_search(reg, prob)
+            assert_newton_matches_exact(reg, prob)
 
 
 def test_exact_route_median_safeguard_bitwise(monkeypatch):
@@ -363,9 +385,106 @@ def test_exact_route_evaluation_count():
     evals = []
     for k in range(12):
         reg, prob = random_problem(rng, 20000, -1 if k % 2 else 1)
-        evals.append(scaled_prox_info(reg, prob)[1].evaluations)
+        evals.append(scaled_prox_info(reg, prob, method="exact")[1]
+                     .evaluations)
     assert max(evals) <= P._NEWTON_PROBES + 2
     assert np.median(evals) <= 5
+
+
+# ---------------------------------------------------------------- Newton route
+
+
+def test_newton_route_evaluation_count():
+    # the last evaluation is the root's residual: at d = 2e4 the Newton
+    # route needs fewer evaluations than the exact route above
+    rng = make_rng(37)
+    evals = []
+    for k in range(12):
+        reg, prob = random_problem(rng, 20000, -1 if k % 2 else 1)
+        evals.append(assert_newton_matches_exact(reg, prob).evaluations)
+    assert max(evals) <= 4
+    assert np.median(evals) <= 3
+
+
+def test_newton_step_across_the_dead_zone():
+    # H = 1 - 0.9 e1 e1' on a live and a dead coordinate. From beta = 0
+    # (y_0 > 0) the first Newton step lands where y_0 < 0: y_0 != 0 at
+    # both points, but g is not affine between them, so the iteration must
+    # not stop there; the root lies inside the dead zone
+    u = np.array([math.sqrt(0.9), 0.0])
+    prob = ScaledProxProblem(np.ones(2), u, -1, 1.0, np.array([3.0, 0.5]))
+    reg = Regularizer(RegKind.L1, 1.0)
+    g, y_of, _ = P._make_rootfn(prob, *prob._parts(1.0)[:2])
+    g0, y0 = g(0.0), y_of(0.0)[0]
+    beta1 = -g0 / (1.0 - 0.9)
+    assert y0 > 0.0 and y_of(beta1)[0] < 0.0
+    info = assert_newton_matches_exact(reg, prob)
+    y = scaled_prox(reg, prob)
+    assert y[0] == 0.0
+    assert info.beta == pytest.approx(-3.0 * math.sqrt(0.9), rel=1e-12)
+
+
+def test_newton_cap_falls_back_to_exact_bytes(monkeypatch):
+    # with no Newton step allowed, auto is the exact route, bit for bit,
+    # and says so
+    monkeypatch.setattr(P, "_NEWTON_ITERS", 0)
+    rng = make_rng(39)
+    for k in range(20):
+        d = int(rng.choice([2, 40, 3000]))
+        reg, prob = random_problem(rng, d, -1 if k % 2 else 1)
+        y, info = scaled_prox_info(reg, prob)
+        ye, ie = scaled_prox_info(reg, prob, method="exact")
+        assert info.method == "newton+exact"
+        assert y.tobytes() == ye.tobytes()
+        assert (info.beta, info.residual, info.evaluations) == \
+            (ie.beta, ie.residual, ie.evaluations)
+
+
+def test_route_chain_hands_over_and_counts(monkeypatch):
+    # a route whose root misses the guard hands over to the next one; the
+    # last route's root stands and every route's evaluations are counted
+    rng = make_rng(40)
+    reg, prob = random_problem(rng, 50, -1)
+    evals = {m: scaled_prox_info(reg, prob, m)[1].evaluations
+             for m in ("auto", "exact", "bisect")}
+
+    def missing(route):
+        def run(reg, prob):
+            beta, _, y_of, count = route(reg, prob)
+            return beta, 1.0, y_of, count  # a residual the guard rejects
+        return run
+
+    for name in ("newton", "exact"):
+        monkeypatch.setitem(P._ROUTES, name, missing(P._ROUTES[name]))
+    y, info = scaled_prox_info(reg, prob)
+    yb, ib = scaled_prox_info(reg, prob, method="bisect")
+    assert info.method == "newton+exact+bisect"
+    assert y.tobytes() == yb.tobytes()
+    assert info.evaluations == sum(evals.values())
+    assert scaled_prox_info(reg, prob, "exact")[1].method == "exact+bisect"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_point_flows_through(bad):
+    # a diverging run hands the prox a non-finite x; g(0) is then inf or
+    # nan and no route has a root: every route must return a non-finite y,
+    # which the solver's epoch-end guard turns into a divergence, not raise
+    rng = make_rng(41)
+    for sign in (1, -1):
+        for d in (2, 8, 300):
+            reg, prob = random_problem(rng, d, sign)
+            prob.x[rng.integers(d)] = bad
+            for method in ("auto", "exact", "bisect"):
+                with np.errstate(all="ignore"):
+                    y, info = scaled_prox_info(reg, prob, method)
+                assert not np.isfinite(y).all()
+                assert not math.isfinite(info.residual)
+
+
+def test_prox_module_not_shadowed():
+    import proxsqn
+    assert P.__name__ == "proxsqn.prox"
+    assert proxsqn.prox is P
 
 
 def test_problem_reuse_across_points_and_lambdas():

@@ -18,12 +18,12 @@ from proxsqn import (
     SolverConfig,
     SolverKind,
     SyntheticSpec,
+    apply_inverse,
     build_metric,
     composite_value,
     full_gradient,
     generate_synthetic,
     metric_as_splitting,
-    prox,
     rate_plan,
     reference_solution,
     run,
@@ -31,6 +31,7 @@ from proxsqn import (
     smooth_value,
 )
 from proxsqn.errors import ConvergenceError
+from proxsqn.prox import prox
 from proxsqn.solver import estimate_smoothness
 
 
@@ -183,6 +184,65 @@ def test_divergence_guard(midsize, lasso_reg):
             SolverConfig(kind=SolverKind.PROX_GD, epochs=200, eta=50.0))
 
 
+def test_sqn_divergence_caught_at_anchor():
+    # at eta = 1e3 the anchors blow up within the first epoch: the run must
+    # stop with a divergence naming the global iteration, not fail while
+    # rebuilding the metric from non-finite curvature
+    for loss in LossKind:
+        ds, _ = generate_synthetic(SyntheticSpec(
+            n=200, d=20, density=0.5, condition=4.0, noise=0.1, seed=3,
+            loss=loss))
+        obj = SmoothObjective.build(ds, loss, 0.1)
+        for lam in (0.0, 0.01):
+            reg = Regularizer(RegKind.L1 if lam else RegKind.ZERO, lam)
+            cfg = SolverConfig(kind=SolverKind.PROX_SQN, epochs=3, eta=1e3,
+                               m=200, b=5, b_hessian=20, metric_period=5)
+            with np.errstate(all="ignore"), \
+                    pytest.raises(DivergenceError, match="at iteration"):
+                run(obj, reg, cfg)
+
+
+def _diverging_sqn(eta):
+    ds, _ = generate_synthetic(SyntheticSpec(
+        n=200, d=20, density=0.5, condition=4.0, noise=0.1, seed=3,
+        loss=LossKind.SQUARED_ERROR))
+    obj = SmoothObjective.build(ds, LossKind.SQUARED_ERROR, 0.1)
+    cfg = SolverConfig(kind=SolverKind.PROX_SQN, epochs=3, eta=eta, m=200,
+                       b=5, b_hessian=20, metric_period=5)
+    return obj, Regularizer(RegKind.L1, 0.01), cfg
+
+
+def test_sqn_divergence_caught_in_curvature():
+    # at eta = 150 the anchors stay finite but s_r'y_r and y_r'y_r overflow
+    # after many rebuilds: tau = inf/inf leaves a metric with no finite
+    # scale, which is a divergence, not an invalid ScaledProxProblem
+    obj, reg, cfg = _diverging_sqn(150.0)
+    with np.errstate(all="ignore"), pytest.raises(
+            DivergenceError, match="curvature pair not finite at iteration"):
+        run(obj, reg, cfg)
+
+
+def test_sqn_nonfinite_scaled_step_is_a_divergence(monkeypatch):
+    # a step that overflows between two anchors hands the scaled prox a
+    # non-finite point after a metric exists; the prox must let the nan
+    # through (no route has a root) so that the run ends as a divergence
+    import proxsqn.solver as solver_module
+    obj, reg, cfg = _diverging_sqn(0.05)
+    calls = []
+
+    def overflowing(metric, v):
+        out = apply_inverse(metric, v)
+        calls.append(1)
+        if len(calls) > 3:
+            out[0] = math.inf
+        return out
+
+    monkeypatch.setattr(solver_module, "apply_inverse", overflowing)
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError):
+        run(obj, reg, cfg)
+    assert len(calls) > 3
+
+
 # ---------------------------------------------------------------- inner loop structure
 
 
@@ -276,7 +336,6 @@ def test_fixed_point_of_scaled_update(midsize, lasso_reg):
         m = build_metric(CurvaturePair(s, B @ s), 0.5)
         diag, rank1, sign = metric_as_splitting(m)
         eta = 0.05
-        from proxsqn import apply_inverse
         z = x_star - eta * apply_inverse(m, g)
         y = scaled_prox(lasso_reg, ScaledProxProblem(diag, rank1, sign,
                                                      eta, z))

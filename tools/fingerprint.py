@@ -1,0 +1,209 @@
+"""Trace fingerprints: one hash per solver run, to show which runs a change moves.
+
+    PYTHONPATH=src python tools/fingerprint.py > after.txt
+    python tools/fingerprint.py --compare before.txt after.txt
+
+The first form runs every solver kind under every sampling scheme, for both
+losses and lambda1 in {0, 0.02}, on a small synthetic instance; then ProxSQN
+and ProxSVRG on a wider sparse one (d=400, where the scaled prox has many
+breakpoints, lambda1 in {0, 0.002}); then `proxsqn run` on one config per
+loss and lambda1 in {0, 0.02}, with all five solvers. It
+prints one line per run: its name, a SHA-256 hash and its per-epoch
+objectives. A solver run's hash covers every TraceRecord field except
+elapsed_ns, the final x bytes and the RunResult counters; a CLI run's
+covers its exit code and each CSV with the elapsed_ns column cut off. A run
+that raises hashes the exception's type and message instead.
+
+--compare reads two such outputs. It names the runs whose hashes differ and,
+for each, the largest objective difference relative to max(1, |P|); it
+exits 1 when the run names differ or a difference exceeds --tol.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+LAMBDAS = (0.0, 0.02)
+
+
+def _instance(proxsqn, loss, spec_kw, ridge=0.1):
+    ds, _ = proxsqn.generate_synthetic(proxsqn.SyntheticSpec(loss=loss,
+                                                             **spec_kw))
+    return proxsqn.SmoothObjective.build(ds, loss, ridge)
+
+
+def _run_hash(proxsqn, obj, reg, cfg, p_star):
+    h = hashlib.sha256()
+    try:
+        res = proxsqn.run(obj, reg, cfg, p_star=p_star)
+    except (ValueError, RuntimeError) as exc:
+        h.update(f"{type(exc).__name__}: {exc}".encode())
+        return h.hexdigest(), []
+    for r in res.records:
+        h.update(repr((r.epoch, r.iteration, r.objective, r.subopt,
+                       r.grad_evals, r.metric_rebuilds)).encode())
+    h.update(res.x.tobytes())
+    h.update(repr((res.grad_evals, res.metric_rebuilds, res.anomalies,
+                   res.scaled_prox_calls,
+                   res.first_scaled_iteration)).encode())
+    return h.hexdigest(), [r.objective for r in res.records]
+
+
+def solver_runs(proxsqn):
+    """(name, hash, objectives) for every library run."""
+    from proxsqn.solver import estimate_smoothness
+    K, S = proxsqn.SolverKind, proxsqn.SchemeKind
+    sets = [  # instance, lambda1 values, solver kinds, schemes
+        ("small", dict(n=40, d=12, density=0.5, condition=8.0, noise=0.1,
+                       seed=5), LAMBDAS, list(K), list(S)),
+        # lambda1 = 0.02 would zero the logistic solution here
+        ("wide", dict(n=600, d=400, density=0.05, condition=8.0, noise=0.1,
+                      seed=6), (0.0, 0.002), [K.PROX_SQN, K.PROX_SVRG],
+         [S.UNIFORM_BATCH]),
+    ]
+    for loss in proxsqn.LossKind:
+        for size, spec_kw, lams, kinds, schemes in sets:
+            obj = _instance(proxsqn, loss, spec_kw)
+            eta = {K.PROX_GD: 1.0 / estimate_smoothness(obj),
+                   K.PROX_SQN: 0.1 / obj.lipschitz_mean,
+                   K.PROX_NEWTON_FULL: 0.2}
+            eta[K.FISTA], eta[K.PROX_SVRG] = eta[K.PROX_GD], eta[K.PROX_SQN]
+            for lam in lams:
+                reg = proxsqn.Regularizer(
+                    proxsqn.RegKind.L1 if lam else proxsqn.RegKind.ZERO, lam)
+                _, p_star = proxsqn.reference_solution(obj, reg)
+                for kind in kinds:
+                    for scheme in schemes:
+                        inner = kind in (K.PROX_SQN, K.PROX_SVRG)
+                        cfg = proxsqn.SolverConfig(
+                            kind=kind, epochs=6 if inner else 12,
+                            eta=eta[kind], m=60,
+                            b=1 if scheme is S.WEIGHTED_SINGLE else 2,
+                            b_hessian=10, metric_period=5, scheme=scheme,
+                            seed=3)
+                        name = (f"{size}/{loss.value}/l1={lam}/"
+                                f"{kind.value}/{scheme.value}")
+                        yield (name,) + _run_hash(proxsqn, obj, reg, cfg,
+                                                  p_star)
+
+
+CLI_CONFIG = """loss = {loss}
+ridge = 0.1
+lambda1 = {lam}
+synthetic.n = 60
+synthetic.d = 15
+synthetic.density = 0.4
+synthetic.condition = 8.0
+synthetic.noise = 0.1
+synthetic.seed = 4
+solvers = prox_sqn, prox_svrg, prox_gd, fista, prox_newton_full
+solver.prox_sqn.epochs = 5
+solver.prox_sqn.eta = 0.05
+solver.prox_sqn.m = 60
+solver.prox_sqn.b = 3
+solver.prox_sqn.b_hessian = 10
+solver.prox_sqn.metric_period = 5
+solver.prox_svrg.epochs = 5
+solver.prox_svrg.eta = 0.05
+solver.prox_svrg.m = 60
+solver.prox_svrg.b = 3
+solver.prox_gd.epochs = 10
+solver.prox_gd.eta = 0.2
+solver.fista.epochs = 10
+solver.fista.eta = 0.2
+solver.prox_newton_full.epochs = 5
+solver.prox_newton_full.eta = 0.5
+"""
+
+
+def cli_runs(proxsqn):
+    """(name, hash, objectives) for every `proxsqn run` CSV."""
+    from proxsqn.cli import main
+    for loss in proxsqn.LossKind:
+        for lam in LAMBDAS:
+            with tempfile.TemporaryDirectory() as tmp:
+                cfg = os.path.join(tmp, "exp.cfg")
+                with open(cfg, "w") as f:
+                    f.write(CLI_CONFIG.format(loss=loss.value, lam=lam))
+                out = os.path.join(tmp, "out")
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    try:
+                        main(["--output", out, "run", cfg],
+                             standalone_mode=False)
+                        code = 0
+                    except SystemExit as exc:
+                        code = exc.code
+                for name in sorted(os.listdir(out)):
+                    with open(os.path.join(out, name)) as f:
+                        rows = [line.rsplit(",", 1)[0]
+                                for line in f.read().splitlines()]
+                    h = hashlib.sha256(repr((code, rows)).encode())
+                    objs = [float(r.split(",")[2]) for r in rows[1:]]
+                    yield (f"cli/{loss.value}/l1={lam}/{name}",
+                           h.hexdigest(), objs)
+
+
+def emit():
+    import proxsqn
+    for name, digest, objs in (*solver_runs(proxsqn), *cli_runs(proxsqn)):
+        print(name, digest, ",".join(repr(p) for p in objs) or "-",
+              sep="\t", flush=True)
+
+
+def _read(path):
+    runs = {}
+    with open(path) as f:
+        for line in f:
+            name, digest, objs = line.rstrip("\n").split("\t")
+            runs[name] = (digest, [] if objs == "-" else
+                          [float(p) for p in objs.split(",")])
+    return runs
+
+
+def compare(before_path, after_path, tol) -> int:
+    before, after = _read(before_path), _read(after_path)
+    if before.keys() != after.keys():
+        print("run names differ:",
+              sorted(before.keys() ^ after.keys()))
+        return 1
+    worst, changed = 0.0, []
+    for name, (digest, objs) in before.items():
+        digest2, objs2 = after[name]
+        if digest == digest2:
+            continue
+        if len(objs) != len(objs2):
+            rel = float("inf")
+        else:
+            rel = max((abs(a - b) / max(1.0, abs(a))
+                       for a, b in zip(objs, objs2)), default=0.0)
+        changed.append(name)
+        worst = max(worst, rel)
+        print(f"changed\t{name}\tmax rel objective diff {rel:.3g}")
+    print(f"{len(before) - len(changed)} of {len(before)} runs identical; "
+          f"{len(changed)} changed, worst rel objective diff {worst:.3g}")
+    return 1 if worst > tol else 0
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"))
+    p.add_argument("--tol", type=float, default=1e-12)
+    args = p.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare, args.tol)
+    with np.errstate(all="ignore"):
+        emit()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
