@@ -6,9 +6,9 @@ baselines, dataset tooling, and a property-check suite.
 from .config import ExperimentConfig, parse_config, serialize_config
 from .dataio import SyntheticSpec, datasets_equal, generate_synthetic, \
     parse_libsvm, write_libsvm
-from .errors import BracketError, ConfigError, ConvergenceError, \
-    DivergenceError, EnumerationLimitError, LibsvmFormatError, \
-    NegativeCurvatureError, SecantError
+from .errors import ConfigError, ConvergenceError, DivergenceError, \
+    EnumerationLimitError, LibsvmFormatError, NegativeCurvatureError, \
+    SecantError
 from .metric import CurvaturePair, Metric, MetricBounds, IDENTITY_BOUNDS, \
     apply_inverse, build_metric, dense_inverse, metric_as_splitting, \
     metric_spectrum_bounds

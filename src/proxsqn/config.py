@@ -29,13 +29,14 @@ skip_eps, scheme, seed, divergence_factor, dense_limit.
 
 from __future__ import annotations
 
+import enum
 import math
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, field
+from typing import get_type_hints
 
 from .dataio import SyntheticSpec
 from .errors import ConfigError
 from .model import LossKind
-from .sampler import SchemeKind
 from .solver import SolverConfig, SolverKind
 
 _EXPERIMENT_SCALARS = {
@@ -46,16 +47,11 @@ _EXPERIMENT_SCALARS = {
     "output": str,
     "dataset": str,
 }
-_SYNTHETIC_FIELDS = {
-    "n": int, "d": int, "density": float, "condition": float,
-    "noise": float, "seed": int,
-}
-_SOLVER_FIELDS = {
-    "kind": SolverKind, "epochs": int, "eta": float, "m": int, "b": int,
-    "b_hessian": int, "metric_period": int, "alpha": float,
-    "skip_eps": float, "scheme": SchemeKind, "seed": int,
-    "divergence_factor": float, "dense_limit": int,
-}
+# field name -> type, in declaration order; the loss comes from `loss`
+_SYNTHETIC_FIELDS = {name: kind for name, kind
+                     in get_type_hints(SyntheticSpec).items()
+                     if name != "loss"}
+_SOLVER_FIELDS = get_type_hints(SolverConfig)
 
 
 @dataclass
@@ -70,10 +66,12 @@ class ExperimentConfig:
     ref_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.ridge < 0.0 or self.lambda1 < 0.0:
-            raise ConfigError("ridge and lambda1 must be >= 0")
-        if self.ref_tol <= 0.0:
-            raise ConfigError("ref_tol must be > 0")
+        # bounded comparisons, so that nan fails too
+        if not (0.0 <= self.ridge < math.inf
+                and 0.0 <= self.lambda1 < math.inf):
+            raise ConfigError("ridge and lambda1 must be >= 0 and finite")
+        if not 0.0 < self.ref_tol < math.inf:
+            raise ConfigError("ref_tol must be > 0 and finite")
         if (self.dataset is None) == (self.synthetic is None):
             raise ConfigError(
                 "exactly one of `dataset` and `synthetic.*` must be given")
@@ -211,7 +209,7 @@ def parse_config(text: str, require_solvers: bool = True) -> ExperimentConfig:
 def _format_scalar(value) -> str:
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, (LossKind, SolverKind, SchemeKind)):
+    if isinstance(value, enum.Enum):
         return value.value
     return str(value)
 
@@ -236,7 +234,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     if cfg.solvers:
         lines.append("solvers = " + ", ".join(name for name, _ in cfg.solvers))
         for name, sc in cfg.solvers:
-            for f in dc_fields(sc):
-                lines.append(f"solver.{name}.{f.name} = "
-                             f"{_format_scalar(getattr(sc, f.name))}")
+            for fld in _SOLVER_FIELDS:
+                lines.append(f"solver.{name}.{fld} = "
+                             f"{_format_scalar(getattr(sc, fld))}")
     return "\n".join(lines) + "\n"

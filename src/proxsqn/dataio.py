@@ -144,10 +144,11 @@ class SyntheticSpec:
             raise ValueError("density must lie in (0, 1]")
         if self.density * self.d < 1.0:
             raise ValueError("density * d must be >= 1 (no empty rows)")
-        if self.condition < 1.0:
-            raise ValueError("condition target must be >= 1")
-        if self.noise < 0.0:
-            raise ValueError("noise must be >= 0")
+        # bounded comparisons, so that nan fails too
+        if not 1.0 <= self.condition < math.inf:
+            raise ValueError("condition target must be >= 1 and finite")
+        if not 0.0 <= self.noise < math.inf:
+            raise ValueError("noise must be >= 0 and finite")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, np.ndarray]:

@@ -13,10 +13,6 @@ class DivergenceError(RuntimeError):
     """Objective exceeded the divergence guard during a solver run."""
 
 
-class BracketError(RuntimeError):
-    """Root bracket could not be established within the doubling budget."""
-
-
 class ConvergenceError(RuntimeError):
     """Iterative subroutine hit its iteration cap before reaching tolerance."""
 

@@ -13,23 +13,18 @@ y(beta0) where beta0 is the unique root of
 
 g is continuous, piecewise linear for the L1 regularizer, and strictly
 increasing (slope >= 1 for sign=+1, >= 1 - u'D^{-1}u > 0 for sign=-1). Its
-root is found by one of three routes, tried in this order:
-
-  * newton (method="auto"): bracketed semismooth Newton in continuous beta
-    from beta = 0, which stops once a Newton step keeps the sign pattern of
-    y, so both iterates lie on one affine piece of g;
-  * exact: a bracketed search over the unsorted breakpoints for the linear
-    piece holding the root, then the exact secant step on it;
-  * bisect: bracket expansion, bisection and a secant polish.
-
-Each route hands over to the next when its root misses the residual guard
-|g| <= 1e-9 (1 + |beta|); the Newton route also does so after
-_NEWTON_ITERS steps. A non-finite x, as in a diverging run, makes g inf or
-nan: no route finds a root, and the non-finite y of the last one is
-returned for the caller's divergence guard, not an exception. method="exact"
-and method="bisect" enter the chain further down and serve as cross-checks;
-the sorted breakpoint search the exact route replaced is a bit-exact test
-oracle. All routes are independent of the iterative subproblem oracle below.
+root is found by bracketed semismooth Newton in continuous beta from
+beta = 0, which stops once a Newton step keeps the sign pattern of y, so
+both iterates lie on one affine piece of g. When that root misses the
+residual guard |g| <= 1e-9 (1 + |beta|), or after _NEWTON_ITERS steps, the
+exact route takes over once: a median search over the unsorted breakpoints
+for the linear piece holding the root, then the exact secant step on it.
+Its root stands. A non-finite x, as in a diverging run, makes g inf or nan:
+neither route finds a root, and the non-finite y of the exact route is
+returned for the caller's divergence guard, not an exception. A sorted
+breakpoint search and a bisection solver serve as oracles in
+tests/test_prox.py; both routes are independent of the iterative
+subproblem oracle below.
 """
 
 from __future__ import annotations
@@ -40,12 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketError, ConvergenceError
+from .errors import ConvergenceError
 
-_BISECT_WIDTH = 1e-13
-_MAX_DOUBLINGS = 60
 _U_ZERO_TOL = 1e-14
-_NEWTON_PROBES = 8
 _NEWTON_ITERS = 10
 
 
@@ -196,59 +188,15 @@ def _make_rootfn(prob, w, t):
     return g, y_of, count
 
 
-def _solve_bisect(reg, prob):
-    """Safeguarded route: geometric bracket expansion, bisection, secant polish."""
-    w, t, _ = prob._parts(reg.lambda1)
-    g, y_of, count = _make_rootfn(prob, w, t)
-    hi = prob._unorm * float(np.linalg.norm(prob.x)) + 1.0
-    lo = -hi
-    width = hi - lo
-    glo, ghi = g(lo), g(hi)
-    k = 0
-    while glo > 0.0:
-        if k >= _MAX_DOUBLINGS:
-            raise BracketError("no sign change after 60 lower doublings")
-        lo -= width
-        width *= 2.0
-        glo = g(lo)
-        k += 1
-    width = hi - lo
-    k = 0
-    while ghi < 0.0:
-        if k >= _MAX_DOUBLINGS:
-            raise BracketError("no sign change after 60 upper doublings")
-        hi += width
-        width *= 2.0
-        ghi = g(hi)
-        k += 1
-    while hi - lo > _BISECT_WIDTH * (1.0 + max(abs(lo), abs(hi))):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        gm = g(mid)
-        if gm < 0.0:
-            lo, glo = mid, gm
-        else:
-            hi, ghi = mid, gm
-    if ghi != glo:
-        beta = lo - glo * (hi - lo) / (ghi - glo)
-        if not lo <= beta <= hi:
-            beta = 0.5 * (lo + hi)
-    else:
-        beta = 0.5 * (lo + hi)
-    return beta, g(beta), y_of, count
-
-
 def _solve_exact(reg, prob):
     """Exact root of the piecewise-linear g for the L1 regularizer.
 
     Breakpoints are the beta where a coordinate of the inner soft threshold
     activates or deactivates; g is affine between neighbours, so a secant
     step on the bracketing segment is exact. Each probe evaluates g at the
-    breakpoint nearest the semismooth Newton point of the last probe (slope
-    1 + sum over y_j != 0 of sign u_j w_j; from beta = 0), closes the
-    bracket and drops the breakpoints outside it. After _NEWTON_PROBES it
-    probes the median, so at most _NEWTON_PROBES + log2(2d) probes are made.
+    median of the breakpoints still inside the bracket, closes the bracket
+    and drops the breakpoints outside it, so at most log2(2d) + 1 probes
+    are made. The Newton route's fallback.
     """
     w, t, t_live = prob._parts(reg.lambda1)
     g, y_of, count = _make_rootfn(prob, w, t)
@@ -258,23 +206,18 @@ def _solve_exact(reg, prob):
     x = prob.x.take(prob._live)
     # x_j - sgn*beta*w_j = +-t_j; non-finite ones never enter the bracket
     cand = np.concatenate([(x - t_live) / sw, (x + t_live) / sw])
-    lo, hi, g_lo, g_hi, target = -math.inf, math.inf, None, None, 0.0
+    lo, hi, g_lo, g_hi = -math.inf, math.inf, None, None
     while True:
         # take on the index: boolean indexing is slow on a scattered mask
         cand = cand.take(np.flatnonzero((cand > lo) & (cand < hi)))
         if not cand.size:
             break
-        if count[0] < _NEWTON_PROBES:
-            dist = cand - target
-            b = cand[np.abs(dist, out=dist).argmin()]
-        else:  # safeguard: halve the candidates
-            b = np.partition(cand, cand.size // 2)[cand.size // 2]
+        b = np.partition(cand, cand.size // 2)[cand.size // 2]
         gb = g(b)
         if gb < 0.0:
             lo, g_lo = b, gb
         else:
             hi, g_hi = b, gb
-        target = b - gb / (1.0 + prob._slope.dot(y_of(b) != 0.0))
     if g_lo is None and g_hi is None:  # no finite breakpoint: g is affine
         hi, g_hi = 0.0, g(0.0)
     if g_lo is None:  # root left of every breakpoint
@@ -330,24 +273,14 @@ def _solve_newton(reg, prob):
     return beta, None, y_of, count
 
 
-# each route returns (beta, g(beta) or None, y_of, count); a method runs its
-# chain until a root passes the guard, and the last route's root stands
-_ROUTES = {"newton": _solve_newton, "exact": _solve_exact,
-           "bisect": _solve_bisect}
-_CHAINS = {"auto": ("newton", "exact", "bisect"), "exact": ("exact", "bisect"),
-           "bisect": ("bisect",)}
+def scaled_prox_info(reg: Regularizer,
+                     prob: ScaledProxProblem) -> tuple[np.ndarray, RootInfo]:
+    """Scaled prox plus root diagnostics.
 
-
-def scaled_prox_info(reg: Regularizer, prob: ScaledProxProblem,
-                     method: str = "auto") -> tuple[np.ndarray, RootInfo]:
-    """Scaled prox plus root diagnostics. method: auto | exact | bisect.
-
-    With an L1 term and u != 0, auto runs the Newton route, falls back to
-    the exact route when that misses the residual guard or its iteration
-    cap, and the exact route falls back to the bisection route when it
-    misses the guard in turn. exact and bisect start further down that
-    chain; they are the cross-checks. RootInfo.method names the routes
-    taken, joined by "+", and evaluations counts every g evaluation.
+    With an L1 term and u != 0 it runs the Newton route; when that misses
+    the residual guard or its iteration cap, it hands over once to the
+    exact route, whose root stands. RootInfo.method is "newton" or
+    "newton+exact", and evaluations counts every g evaluation of both.
     """
     if reg.kind is RegKind.ZERO or reg.lambda1 == 0.0:
         # prox of 0 in any metric is the identity
@@ -355,24 +288,17 @@ def scaled_prox_info(reg: Regularizer, prob: ScaledProxProblem,
     if prob._unorm < _U_ZERO_TOL:  # H is diagonal: prox in the D metric
         y = _soft_threshold(prob.x, prob._parts(reg.lambda1)[1])
         return y, RootInfo(0.0, 0.0, 0, "diag")
-    chain = _CHAINS.get(method)
-    if chain is None:
-        raise ValueError(f"unknown root method {method!r}")
-    evals, taken = 0, []
-    for route in chain:
-        beta, res, y_of, count = _ROUTES[route](reg, prob)
-        evals += count[0]
-        taken.append(route)
-        if res is not None and abs(res) <= 1e-9 * (1.0 + abs(beta)):
-            break
-    return y_of(beta), RootInfo(float(beta), float(res), evals,
-                                "+".join(taken))
+    beta, res, y_of, count = _solve_newton(reg, prob)
+    evals, method = count[0], "newton"
+    if res is None or not abs(res) <= 1e-9 * (1.0 + abs(beta)):
+        beta, res, y_of, count = _solve_exact(reg, prob)
+        evals, method = evals + count[0], "newton+exact"
+    return y_of(beta), RootInfo(float(beta), float(res), evals, method)
 
 
-def scaled_prox(reg: Regularizer, prob: ScaledProxProblem,
-                method: str = "auto") -> np.ndarray:
+def scaled_prox(reg: Regularizer, prob: ScaledProxProblem) -> np.ndarray:
     """prox_{eta R}^H(x) for H = diag(D) + sign * u u'."""
-    y, _ = scaled_prox_info(reg, prob, method)
+    y, _ = scaled_prox_info(reg, prob)
     return y
 
 

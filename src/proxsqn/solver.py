@@ -79,6 +79,8 @@ class SolverConfig:
             raise ValueError("divergence_factor must be > 0")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
+        if not 0.0 <= self.skip_eps < math.inf:
+            raise ValueError("skip_eps must be >= 0 and finite")
         if self.b < 1 or self.b_hessian < 1:
             raise ValueError("batch sizes must be >= 1")
 
@@ -391,9 +393,12 @@ def reference_solution(obj: SmoothObjective, reg: Regularizer,
     """High-accuracy minimizer by restarted accelerated proximal gradient.
 
     Stops when the fixed-point residual ||x - prox_{eta R}(x - eta grad F)||
-    / eta falls below tol. Raises ConvergenceError at the iteration cap or
-    on a non-finite residual.
+    / eta falls below tol. Raises ValueError on a negative or non-finite
+    tol, and ConvergenceError at the iteration cap or on a non-finite
+    residual.
     """
+    if not 0.0 <= tol < math.inf:
+        raise ValueError("tol must be >= 0 and finite")
     eta = 1.0 / estimate_smoothness(obj)
     steps = _prox_gradient(obj, reg, eta, momentum=True, restart=True)
     for x in itertools.islice(steps, max_iter):

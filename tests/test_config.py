@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from proxsqn import (
@@ -153,6 +155,16 @@ def test_parse_rejects_nonfinite_floats(key, raw):
         parse_config("\n".join(lines) + "\n")
     assert f"line {len(lines)}: {key}: expected a finite float, " \
         f"got {raw!r}" in str(err.value)
+
+
+@pytest.mark.parametrize("key", ["ridge", "lambda1", "ref_tol"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_experiment_config_rejects_nonfinite(key, bad):
+    kw = dict(loss=LossKind.SQUARED_ERROR, ridge=0.1, lambda1=0.0,
+              dataset="d")
+    kw[key] = bad
+    with pytest.raises(ConfigError, match=key):
+        ExperimentConfig(**kw)
 
 
 def test_parse_without_solver_requirement():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,10 @@ def test_generate_planted_support_size():
     dict(n=5, d=20, density=0.01),   # density * d < 1: empty rows
     dict(n=5, d=5, condition=0.5),
     dict(n=5, d=5, noise=-0.1),
+    dict(n=5, d=5, condition=math.nan),
+    dict(n=5, d=5, condition=math.inf),
+    dict(n=5, d=5, noise=math.nan),
+    dict(n=5, d=5, noise=math.inf),
 ])
 def test_spec_validation(kw):
     with pytest.raises(ValueError):

@@ -88,15 +88,71 @@ def sorted_search(reg, prob):
     return y_of(beta), float(beta), float(res)
 
 
+_BISECT_WIDTH = 1e-13
+_MAX_DOUBLINGS = 60
+
+
+def bisect_search(reg, prob):
+    """An independent solver of g(beta) = 0 in continuous beta: geometric
+    bracket expansion, bisection, secant polish. Returns (y, beta, residual)
+    as sorted_search does."""
+    w, t = prob.rank1 / prob.diag, (prob.eta / prob.diag) * reg.lambda1
+    g, y_of, count = P._make_rootfn(prob, w, t)
+    hi = prob._unorm * float(np.linalg.norm(prob.x)) + 1.0
+    lo = -hi
+    width = hi - lo
+    glo, ghi = g(lo), g(hi)
+    k = 0
+    while glo > 0.0:
+        assert k < _MAX_DOUBLINGS, "no sign change after 60 lower doublings"
+        lo -= width
+        width *= 2.0
+        glo = g(lo)
+        k += 1
+    width = hi - lo
+    k = 0
+    while ghi < 0.0:
+        assert k < _MAX_DOUBLINGS, "no sign change after 60 upper doublings"
+        hi += width
+        width *= 2.0
+        ghi = g(hi)
+        k += 1
+    while hi - lo > _BISECT_WIDTH * (1.0 + max(abs(lo), abs(hi))):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        gm = g(mid)
+        if gm < 0.0:
+            lo, glo = mid, gm
+        else:
+            hi, ghi = mid, gm
+    if ghi != glo:
+        beta = lo - glo * (hi - lo) / (ghi - glo)
+        if not lo <= beta <= hi:
+            beta = 0.5 * (lo + hi)
+    else:
+        beta = 0.5 * (lo + hi)
+    res = g(beta)
+    return y_of(beta), float(beta), float(res)
+
+
+def exact_route(reg, prob):
+    """The library's fallback route on its own: (y, beta, residual,
+    evaluations)."""
+    beta, res, y_of, count = P._solve_exact(reg, prob)
+    return y_of(beta), float(beta), float(res), count[0]
+
+
 def assert_matches_sorted_search(reg, prob):
-    y, info = scaled_prox_info(reg, prob, method="exact")
+    """The exact route against sorted_search, bit for bit, with a root that
+    passes the library's residual guard. Returns (evaluations, beta)."""
+    y, beta, res, evals = exact_route(reg, prob)
     y_ref, beta_ref, res_ref = sorted_search(reg, prob)
-    assert info.method == "exact"
+    assert abs(res) <= 1e-9 * (1.0 + abs(beta))
     assert y.tobytes() == y_ref.tobytes()
-    assert np.float64(info.beta).tobytes() == np.float64(beta_ref).tobytes()
-    assert np.float64(info.residual).tobytes() == \
-        np.float64(res_ref).tobytes()
-    return info, beta_ref
+    assert np.float64(beta).tobytes() == np.float64(beta_ref).tobytes()
+    assert np.float64(res).tobytes() == np.float64(res_ref).tobytes()
+    return evals, beta_ref
 
 
 def assert_newton_matches_exact(reg, prob):
@@ -108,7 +164,7 @@ def assert_newton_matches_exact(reg, prob):
     every breakpoint, and there the exact route's residual reaches 7e-12.
     """
     y, info = scaled_prox_info(reg, prob)
-    ye, _ = scaled_prox_info(reg, prob, method="exact")
+    ye = exact_route(reg, prob)[0]
     assert info.method == "newton"
     assert np.array_equal(np.sign(y), np.sign(ye))
     floor = 16 * np.finfo(float).eps * float(np.abs(prob.rank1)
@@ -262,7 +318,7 @@ def test_scaled_prox_matches_oracle_both_signs(lasso_reg):
 
 
 def test_exact_and_bisect_routes_agree():
-    # the breakpoint route and the safeguarded bisection route are
+    # the Newton route, the breakpoint route and bisect_search are
     # independent solvers of the same scalar equation
     rng = make_rng(27)
     for k in range(72):
@@ -270,13 +326,14 @@ def test_exact_and_bisect_routes_agree():
             int(rng.choice([200, 2000, 20000]))
         reg, prob = random_problem(rng, d, -1 if k % 2 else 1,
                                    lam=float(rng.choice([0.05, 0.3, 1.5])))
-        ye, ie = scaled_prox_info(reg, prob, method="exact")
-        yb, ib = scaled_prox_info(reg, prob, method="bisect")
-        assert ie.method == "exact"
-        assert ib.method == "bisect"
-        assert np.linalg.norm(ye - yb) <= 1e-9 * (1 + np.linalg.norm(ye))
-        assert abs(ie.residual) < 1e-10
-        assert abs(ib.residual) < 1e-10
+        y, info = scaled_prox_info(reg, prob)
+        ye, _, res_e, _ = exact_route(reg, prob)
+        yb, _, res_b = bisect_search(reg, prob)
+        assert info.method == "newton"
+        for got, res in ((y, info.residual), (ye, res_e)):
+            assert np.linalg.norm(got - yb) <= 1e-9 * (1 + np.linalg.norm(yb))
+            assert abs(res) < 1e-10
+        assert abs(res_b) < 1e-10
 
 
 # ---------------------------------------------------------------- exact route vs the sorted search
@@ -364,31 +421,27 @@ def test_exact_route_bitwise_with_overflowing_breakpoints():
             assert_newton_matches_exact(reg, prob)
 
 
-def test_exact_route_median_safeguard_bitwise(monkeypatch):
-    # with no Newton probes the search only halves the candidates; it must
-    # still land on the same segment
+def test_exact_route_median_safeguard_bitwise():
+    # the search only halves the candidates, in no sorted order; it must
+    # still land on the segment the sorted search finds
     rng = make_rng(36)
-    for probes in (0, 1, 2):
-        monkeypatch.setattr(P, "_NEWTON_PROBES", probes)
-        for k in range(20):
-            d = int(rng.choice([2, 30, 3000]))
-            reg, prob = random_problem(rng, d, -1 if k % 2 else 1)
-            info, _ = assert_matches_sorted_search(reg, prob)
-            bound = probes + math.ceil(math.log2(2 * d)) + 3
-            assert info.evaluations <= bound
+    for k in range(60):
+        d = int(rng.choice([2, 30, 3000]))
+        reg, prob = random_problem(rng, d, -1 if k % 2 else 1)
+        evals, _ = assert_matches_sorted_search(reg, prob)
+        assert evals <= math.ceil(math.log2(2 * d)) + 3
 
 
 def test_exact_route_evaluation_count():
-    # Newton probes plus the final residual: far fewer than the
-    # ~log2(2d) of a binary search at d = 2e4
+    # median probes over 2d breakpoints, the ends of an outer segment and
+    # the final residual: no more than a binary search at d = 2e4
     rng = make_rng(37)
+    d = 20000
     evals = []
     for k in range(12):
-        reg, prob = random_problem(rng, 20000, -1 if k % 2 else 1)
-        evals.append(scaled_prox_info(reg, prob, method="exact")[1]
-                     .evaluations)
-    assert max(evals) <= P._NEWTON_PROBES + 2
-    assert np.median(evals) <= 5
+        reg, prob = random_problem(rng, d, -1 if k % 2 else 1)
+        evals.append(exact_route(reg, prob)[3])
+    assert max(evals) <= math.ceil(math.log2(2 * d)) + 3
 
 
 # ---------------------------------------------------------------- Newton route
@@ -433,50 +486,52 @@ def test_newton_cap_falls_back_to_exact_bytes(monkeypatch):
         d = int(rng.choice([2, 40, 3000]))
         reg, prob = random_problem(rng, d, -1 if k % 2 else 1)
         y, info = scaled_prox_info(reg, prob)
-        ye, ie = scaled_prox_info(reg, prob, method="exact")
+        ye, beta, res, evals = exact_route(reg, prob)
         assert info.method == "newton+exact"
         assert y.tobytes() == ye.tobytes()
         assert (info.beta, info.residual, info.evaluations) == \
-            (ie.beta, ie.residual, ie.evaluations)
+            (beta, res, evals)
 
 
-def test_route_chain_hands_over_and_counts(monkeypatch):
-    # a route whose root misses the guard hands over to the next one; the
-    # last route's root stands and every route's evaluations are counted
+def test_newton_miss_hands_over_to_exact(monkeypatch):
+    # a Newton root that misses the guard hands over to the exact route: its
+    # root stands, and both routes' evaluations are counted
     rng = make_rng(40)
     reg, prob = random_problem(rng, 50, -1)
-    evals = {m: scaled_prox_info(reg, prob, m)[1].evaluations
-             for m in ("auto", "exact", "bisect")}
+    newton_evals = scaled_prox_info(reg, prob)[1].evaluations
+    y_ref, beta_ref, res_ref = sorted_search(reg, prob)
+    exact_evals = exact_route(reg, prob)[3]
+    solve_newton = P._solve_newton
 
-    def missing(route):
-        def run(reg, prob):
-            beta, _, y_of, count = route(reg, prob)
-            return beta, 1.0, y_of, count  # a residual the guard rejects
-        return run
+    def missing(reg, prob):
+        beta, _, y_of, count = solve_newton(reg, prob)
+        return beta, 1.0, y_of, count  # a residual the guard rejects
 
-    for name in ("newton", "exact"):
-        monkeypatch.setitem(P._ROUTES, name, missing(P._ROUTES[name]))
+    monkeypatch.setattr(P, "_solve_newton", missing)
     y, info = scaled_prox_info(reg, prob)
-    yb, ib = scaled_prox_info(reg, prob, method="bisect")
-    assert info.method == "newton+exact+bisect"
-    assert y.tobytes() == yb.tobytes()
-    assert info.evaluations == sum(evals.values())
-    assert scaled_prox_info(reg, prob, "exact")[1].method == "exact+bisect"
+    assert info.method == "newton+exact"
+    assert y.tobytes() == y_ref.tobytes()
+    assert (info.beta, info.residual) == (beta_ref, res_ref)
+    assert info.evaluations == newton_evals + exact_evals
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_nonfinite_point_flows_through(bad):
+def test_nonfinite_point_flows_through(bad, monkeypatch):
     # a diverging run hands the prox a non-finite x; g(0) is then inf or
-    # nan and no route has a root: every route must return a non-finite y,
-    # which the solver's epoch-end guard turns into a divergence, not raise
+    # nan and neither route has a root: the prox must return a non-finite
+    # y, which the solver's epoch-end guard turns into a divergence, not
+    # raise, whether the Newton route stops early or takes no step at all
     rng = make_rng(41)
+    caps = (P._NEWTON_ITERS, 0)
     for sign in (1, -1):
         for d in (2, 8, 300):
             reg, prob = random_problem(rng, d, sign)
             prob.x[rng.integers(d)] = bad
-            for method in ("auto", "exact", "bisect"):
+            for iters in caps:
+                monkeypatch.setattr(P, "_NEWTON_ITERS", iters)
                 with np.errstate(all="ignore"):
-                    y, info = scaled_prox_info(reg, prob, method)
+                    y, info = scaled_prox_info(reg, prob)
+                assert info.method == "newton+exact"
                 assert not np.isfinite(y).all()
                 assert not math.isfinite(info.residual)
 
@@ -509,12 +564,6 @@ def test_root_info_diag_shortcut(lasso_reg):
     y, info = scaled_prox_info(lasso_reg, prob)
     assert info.method == "diag"
     assert info.evaluations == 0
-
-
-def test_unknown_method_rejected(lasso_reg):
-    prob = ScaledProxProblem(np.ones(2), np.ones(2), 1, 0.5, np.ones(2))
-    with pytest.raises(ValueError, match="unknown root method"):
-        scaled_prox_info(lasso_reg, prob, method="newton")
 
 
 def test_kkt_residual_flags_bad_point(lasso_reg):

@@ -68,6 +68,12 @@ def test_config_rejects_nan_divergence_factor():
         sqn_config(divergence_factor=math.nan)
 
 
+def test_config_rejects_bad_skip_eps():
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="skip_eps"):
+            sqn_config(skip_eps=bad)
+
+
 def test_composite_value(sq_small, lasso_reg):
     x = np.array([1.0, -2.0, 0.5, 0.0])
     assert composite_value(sq_small, lasso_reg, x) == pytest.approx(
@@ -475,6 +481,12 @@ def test_reference_solution_threshold_kill(midsize):
 def test_reference_solution_iteration_cap(midsize, lasso_reg):
     with pytest.raises(ConvergenceError):
         reference_solution(midsize, lasso_reg, tol=0.0, max_iter=10)
+
+
+def test_reference_solution_rejects_nan_tol(midsize, lasso_reg):
+    # a nan tol is never met: it must fail at once, not at the cap
+    with pytest.raises(ValueError, match="tol"):
+        reference_solution(midsize, lasso_reg, tol=math.nan, max_iter=10)
 
 
 def test_reference_solution_stops_on_nonfinite_residual(midsize, lasso_reg,

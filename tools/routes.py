@@ -7,8 +7,8 @@ seeds 0, 1, ...) with the benchmark's settings, and wraps
 proxsqn.prox.scaled_prox_info to record every call's RootInfo. For each
 workload it prints the number of calls, the count of each route
 (RootInfo.method: "newton" when the Newton route's root passed the guard,
-"newton+exact" or "newton+exact+bisect" after a fallback), the calls that
-fell back (a method with "+"), and the median and largest number of g
+"newton+exact" after a fallback to the exact route), the calls that fell
+back (a method with "+"), and the median and largest number of g
 evaluations per call. It exits 1 when any call fell back.
 """
 
@@ -35,8 +35,8 @@ def tally(name, seeds):
     routes, evals = collections.Counter(), []
     orig = P.scaled_prox_info
 
-    def wrapped(reg, prob, method="auto"):
-        y, info = orig(reg, prob, method)
+    def wrapped(*args, **kwargs):
+        y, info = orig(*args, **kwargs)
         routes[info.method] += 1
         evals.append(info.evaluations)
         return y, info
