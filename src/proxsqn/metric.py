@@ -107,7 +107,7 @@ def apply_inverse(metric: Metric, v: np.ndarray) -> np.ndarray:
     """H^{-1} v in O(d)."""
     out = (metric.alpha * metric.tau) * v
     if metric.u.size and not metric.skipped:
-        out = out + metric.u * float(metric.u.dot(v))
+        out += metric.u * float(metric.u.dot(v))
     return out
 
 

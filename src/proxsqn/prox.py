@@ -7,21 +7,22 @@ The scaled mapping solves
 
 by reducing the rank-one term to a scalar root equation: with
 y(beta) = prox_{eta R}^D(x - sign * beta * D^{-1} u), the solution is
-y(beta0) where beta0 is the unique root of
+y(beta*) where beta* is the unique root of
 
     g(beta) = u'(x - y(beta)) + beta.
 
 g is continuous, piecewise linear for the L1 regularizer, and strictly
 increasing (slope >= 1 for sign=+1, >= 1 - u'D^{-1}u > 0 for sign=-1). Its
-root is found by bracketed semismooth Newton in continuous beta from
-beta = 0, which stops once a Newton step keeps the sign pattern of y, so
-both iterates lie on one affine piece of g. When that root misses the
-residual guard |g| <= 1e-9 (1 + |beta|), or after _NEWTON_ITERS steps, the
-exact route takes over once: a median search over the unsorted breakpoints
-for the linear piece holding the root, then the exact secant step on it.
-Its root stands. A non-finite x, as in a diverging run, makes g inf or nan:
-neither route finds a root, and the non-finite y of the exact route is
-returned for the caller's divergence guard, not an exception. A sorted
+root is found by bracketed semismooth Newton in continuous beta from the
+problem's start beta0 (0 by default; the solver passes the previous step's
+root), which stops once |g| is down to its rounding floor. When that root
+misses the residual guard |g| <= 1e-9 (1 + |beta|), or after _NEWTON_ITERS
+steps, the exact route takes over once: a median search over the unsorted
+breakpoints for the linear piece holding the root, then the exact secant
+step on it. Its root stands. A non-finite x, as in a diverging run, makes
+g inf or nan: neither route finds a root, and the non-finite y of the
+exact route is returned for the caller's divergence guard, not an
+exception. A sorted
 breakpoint search and a bisection solver serve as oracles in
 tests/test_prox.py; both routes are independent of the iterative
 subproblem oracle below.
@@ -39,6 +40,11 @@ from .errors import ConvergenceError
 
 _U_ZERO_TOL = 1e-14
 _NEWTON_ITERS = 10
+# g at a root on its affine piece, evaluated in floating point, is about
+# eps (|u|'|x| + |beta|): a median of 0.5x, under 3x in 4600 scaled-prox
+# calls captured from the benchmark's runs. |g| under _ROUNDING times that
+# counts as a root; a miss costs one more Newton step, not a wrong root.
+_ROUNDING = 16 * np.finfo(np.float64).eps
 
 
 class RegKind(enum.Enum):
@@ -66,24 +72,42 @@ def reg_value(reg: Regularizer, x: np.ndarray) -> float:
     return float(reg.lambda1 * np.sum(np.abs(x)))
 
 
-def _soft_threshold(z, t):
-    return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
+def _soft_threshold(z, t, out=None):
+    """max(|z| - t, 0) with the sign of z copied on, into out if given.
+
+    Bit for bit sign(z) * max(|z| - t, 0) in one ufunc call fewer, except
+    that z = -0 gives -0 where that form gives +0. out must not overlap z.
+    """
+    r = np.abs(z, out=out)
+    np.maximum(np.subtract(r, t, out=r), 0.0, out=r)
+    return np.copysign(r, z, out=r)
 
 
-def prox(reg: Regularizer, x: np.ndarray, eta: float) -> np.ndarray:
-    """prox_{eta R}(x) under the identity metric."""
+def prox(reg: Regularizer, x: np.ndarray, eta: float,
+         out: np.ndarray | None = None) -> np.ndarray:
+    """prox_{eta R}(x) under the identity metric, written into out if given.
+
+    An out that shares memory with x raises ValueError.
+    """
     if not eta > 0.0:  # rejects nan as well
         raise ValueError("eta must be > 0")
+    if out is not None and np.may_share_memory(out, x):
+        raise ValueError("out must not share memory with x")
     if reg.kind is RegKind.ZERO or reg.lambda1 == 0.0:
-        return x.copy()
-    return _soft_threshold(x, eta * reg.lambda1)
+        if out is None:
+            return x.copy()
+        out[...] = x
+        return out
+    return _soft_threshold(x, eta * reg.lambda1, out)
 
 
 @dataclass(eq=False)
 class ScaledProxProblem:
     """One scaled-prox instance: metric diag(D) + sign * u u', step eta, point x.
 
-    Only x may change after construction: what depends on the metric and eta
+    x and beta0, the Newton start, are the per-call inputs; the library
+    reads beta0 and never writes it, and a non-finite beta0 starts from 0.
+    The rest is fixed after construction: what depends on the metric and eta
     alone is computed once, ||u|| here and D^{-1} u, its nonzero set, the
     Newton slope weights and the L1 thresholds (per lambda1) on first use.
     Root solves write into the problem's scratch rows, so one problem serves
@@ -95,6 +119,7 @@ class ScaledProxProblem:
     sign: int
     eta: float
     x: np.ndarray
+    beta0: float = 0.0
 
     def __post_init__(self):
         self.diag = np.asarray(self.diag, dtype=np.float64)
@@ -123,9 +148,9 @@ class ScaledProxProblem:
         self._work = None
 
     def _scratch(self):
-        """Three length-d work rows, allocated once per problem."""
+        """Two length-d work rows, allocated once per problem."""
         if self._work is None:
-            self._work = np.empty((3, self.x.size))
+            self._work = np.empty((2, self.x.size))
         return self._work
 
     def _parts(self, lambda1):
@@ -136,11 +161,13 @@ class ScaledProxProblem:
             self._w = w = self.rank1 / self.diag
             sw = float(self.sign) * w
             self._slope = sw * self.rank1
+            self._abs_u = np.abs(self.rank1)
             self._live = np.flatnonzero(w)
             self._sw = sw.take(self._live)
         if self._lambda1 != lambda1:
             self._lambda1 = lambda1
             self._t = (self.eta / self.diag) * lambda1
+            self._neg_t = -self._t
             self._t_live = self._t.take(self._live)
         return self._w, self._t, self._t_live
 
@@ -161,10 +188,13 @@ def _make_rootfn(prob, w, t):
     y_of writes every evaluation into one fresh array, which it returns: a
     y kept from an earlier beta is overwritten by the next one. The inner
     point x - sign * beta * w lives in the problem's scratch row 0.
+    y is _soft_threshold(x - sign * beta * w, t) bit for bit, but for the
+    sign of its zeros: here every zero is +0.
     """
     u, x = prob.rank1, prob.x
     ux = float(u.dot(x))  # dot, not @: same ddot with less call overhead
     sgn = float(prob.sign)
+    neg_t = prob._neg_t if t is prob._t else -t
     z, y = prob._scratch()[0], np.empty_like(x)
     count = [0]
     last = [None]  # the root is evaluated by g, then returned by y_of
@@ -172,13 +202,10 @@ def _make_rootfn(prob, w, t):
     def y_of(beta):
         if beta is not last[0]:
             last[0] = beta
-            # _soft_threshold(x - (sgn * beta) * w, t) bit for bit, in place:
-            # at d = 2e4 its temporaries cost more than its arithmetic
-            # (np.sign in place is several times slower than out of place)
+            # z - clip(z, -t, t): three ufuncs, without the slow copysign
             np.subtract(x, np.multiply(w, sgn * beta, out=z), out=z)
-            np.sign(z, out=y)
-            np.maximum(np.subtract(np.abs(z, out=z), t, out=z), 0.0, out=z)
-            np.multiply(y, z, out=y)
+            np.minimum(np.maximum(z, neg_t, out=y), t, out=y)
+            np.subtract(z, y, out=y)
         return y
 
     def g(beta):
@@ -229,37 +256,43 @@ def _solve_exact(reg, prob):
 
 
 def _solve_newton(reg, prob):
-    """Bracketed semismooth Newton on g in continuous beta, from beta = 0.
+    """Bracketed semismooth Newton on g in continuous beta, from prob.beta0.
 
     Returns (beta, g(beta), y_of, count), with g(beta) None when the
     iteration stops without a root. Each step goes to the Newton point of
     the current iterate (slope 1 + sum over y_j != 0 of sign u_j w_j) or,
     when that leaves the bracket (lo, hi) given by the signs of g, to the
-    bracket's secant point, or to its midpoint. A Newton step that leaves
-    every coordinate's state (sign of y_j, with 0 a state of its own)
-    unchanged stayed on one affine piece of g, so it landed on the root.
+    bracket's secant point, or to its midpoint. It stops once |g| is at its
+    rounding floor: a Newton step that stays on one affine piece of g lands
+    there, up to the rounding of the step itself. That rounding grows with
+    the start, so a step from far away (a start of 1e6, say) takes one more
+    step on the same piece. A start at the previous root under the same
+    metric usually lies on the root's piece already, so one Newton step
+    ends the solve.
     """
     w, t, _ = prob._parts(reg.lambda1)
     g, y_of, count = _make_rootfn(prob, w, t)
     slope = prob._slope
-    active, state, prev = prob._scratch()  # active reuses y_of's row
+    active = prob._scratch()[1]
+    # |u|'|x| bounds the terms of u'x and, near the root, those of u'y
+    floor = _ROUNDING * float(prob._abs_u.dot(np.abs(prob.x, out=active)))
     lo, hi, g_lo, g_hi = -math.inf, math.inf, None, None
-    beta, newton = 0.0, False
+    beta = float(prob.beta0)
+    if not math.isfinite(beta):
+        beta = 0.0
     for _ in range(_NEWTON_ITERS):
         gb = g(beta)
-        prev, state = state, prev
-        np.sign(y_of(beta), out=state)
-        if gb == 0.0 or newton and np.array_equal(state, prev):
+        if abs(gb) <= floor + _ROUNDING * abs(beta):
             return beta, gb, y_of, count
         if gb < 0.0:
             lo, g_lo = beta, gb
         else:
             hi, g_hi = beta, gb
-        step = beta - gb / (1.0 + slope.dot(np.abs(state, out=active)))
+        np.not_equal(y_of(beta), 0.0, out=active)
+        step = beta - gb / (1.0 + slope.dot(active))
         if step == beta:  # no representable move: let the guard judge
             return beta, gb, y_of, count
-        newton = lo < step < hi
-        if not newton:
+        if not lo < step < hi:
             # with a finite g and slope, only a closed bracket is left; a
             # non-finite g (x inf or nan) leaves one end open: no root here
             if g_lo is None or g_hi is None:

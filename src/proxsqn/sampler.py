@@ -166,8 +166,12 @@ def vr_gradient(obj: SmoothObjective, snapshot: SnapshotState, batch: Batch,
     bl = obj.dataset.labels[batch.indices]
     cw = LOSSES[obj.loss].coef_diff(zs, zts, bl) / batch.weights
     diff = np.bincount(cols, weights=cw[rid] * vals, minlength=obj.d)
-    diff += (obj.ridge * float((1.0 / batch.weights).sum())) * (x - xt)
-    return diff + snapshot.full_grad
+    # the ridge and snapshot terms added in place, bit for bit
+    ridge = np.subtract(x, xt)
+    ridge *= obj.ridge * float((1.0 / batch.weights).sum())
+    diff += ridge
+    diff += snapshot.full_grad
+    return diff
 
 
 @dataclass

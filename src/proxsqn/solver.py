@@ -37,8 +37,8 @@ from .metric import MetricBounds, CurvaturePair, Metric, apply_inverse, \
     build_metric, metric_as_splitting
 from .model import LOSSES, SmoothObjective, dense_batch_hessian, \
     full_gradient, hessian_vec, smooth_value
-from .prox import Regularizer, RegKind, ScaledProxProblem, prox, reg_value, \
-    scaled_prox
+from . import prox as prox_module
+from .prox import Regularizer, RegKind, ScaledProxProblem, prox, reg_value
 from .sampler import Sampler, SamplingScheme, SchemeKind, _floyd_sample, \
     make_rng, make_snapshot, vr_gradient
 
@@ -165,8 +165,13 @@ def _run_inner_loop(obj, reg, config, p_star):
     xhat_prev: np.ndarray | None = None
     metric: Metric | None = None
     # one problem object per metric: the (diag, rank1, sign) part is
-    # validated at rebuild time, only the query point changes per step
+    # validated at rebuild time; per step the query point is written into
+    # its row `point` and the Newton start is the previous root
     prox_prob: ScaledProxProblem | None = None
+    point = np.zeros(d)
+    # the plain prox writes the iterate into these rows by turns, so a new
+    # iterate never overwrites the one it is computed from
+    rows = np.empty((2, d))
     grad_evals = 0
     rebuilds = 0
     anomalies = 0
@@ -183,11 +188,18 @@ def _run_inner_loop(obj, reg, config, p_star):
             v = vr_gradient(obj, snapshot, batch, x)
             grad_evals += obj.n if batch.full else 2 * batch.indices.size
             warm = (g - 1) < 2 * Z
+            # x - eta * (...) in place, bit for bit: v is this step's own
+            # array, and the scaled step's point is overwritten every step
             if warm or metric is None:
-                x = prox(reg, x - eta * v, eta)
+                np.subtract(x, np.multiply(v, eta, out=v), out=v)
+                x = prox(reg, v, eta, out=rows[g % 2])
             else:
-                prox_prob.x = x - eta * apply_inverse(metric, v)
-                x = scaled_prox(reg, prox_prob)
+                np.subtract(x, np.multiply(apply_inverse(metric, v), eta,
+                                           out=point), out=point)
+                # through the module, so that wrappers of scaled_prox_info
+                # (the benchmark's tracer, tools/routes.py) see every call
+                x, info = prox_module.scaled_prox_info(reg, prox_prob)
+                prox_prob.beta0 = info.beta
                 scaled_calls += 1
                 if first_scaled is None:
                     first_scaled = g
@@ -224,7 +236,7 @@ def _run_inner_loop(obj, reg, config, p_star):
                                 raise DivergenceError(
                                     f"curvature pair not finite at iteration {g}")
                             prox_prob = ScaledProxProblem(diag, rank1, sign,
-                                                          eta, x)
+                                                          eta, point)
                             rebuilds += 1
                         except NegativeCurvatureError:
                             anomalies += 1

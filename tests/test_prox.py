@@ -536,6 +536,100 @@ def test_nonfinite_point_flows_through(bad, monkeypatch):
                 assert not math.isfinite(info.residual)
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_warm_start_matches_exact(sign):
+    # the root does not depend on the start: from the cold root, from far
+    # on either side of it and from +-1e6 the Newton route must land on the
+    # exact route's y without falling back
+    rng = make_rng(42 + sign)
+    for d in (2, 40, 3000, 20000):
+        for _ in range(4 if d < 3000 else 2):
+            reg, prob = random_problem(rng, d, sign,
+                                       lam=float(rng.choice([0.05, 0.3, 1.5])))
+            root = scaled_prox_info(reg, prob)[1].beta
+            far = 1e3 * (1.0 + abs(root))
+            for start in (root, root - far, root + far, -1e6, 1e6):
+                prob.beta0 = start
+                assert_newton_matches_exact(reg, prob)
+                assert prob.beta0 == start  # read, never written
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_start_is_a_cold_start(bad):
+    rng = make_rng(44)
+    for d in (2, 40, 3000):
+        reg, prob = random_problem(rng, d, -1 if d % 2 else 1)
+        y_cold, info_cold = scaled_prox_info(reg, prob)
+        prob.beta0 = bad
+        y, info = scaled_prox_info(reg, prob)
+        fresh = ScaledProxProblem(prob.diag, prob.rank1, prob.sign, prob.eta,
+                                  prob.x)
+        y_fresh, info_fresh = scaled_prox_info(reg, fresh)
+        assert y.tobytes() == y_fresh.tobytes() == y_cold.tobytes()
+        assert info == info_fresh == info_cold
+
+
+def test_warm_start_saves_evaluations():
+    # a sequence of nearby points, as the solver's steps are: started from
+    # the previous root, the Newton route usually makes one step (two
+    # evaluations, the last one the root's residual); from 0 it makes two
+    rng = make_rng(45)
+    d = 20000
+    for sign in (1, -1):
+        reg, prob = random_problem(rng, d, sign)
+        cold, warm = [], []
+        for k in range(20):
+            prob.x = prob.x + 1e-2 * rng.standard_normal(d)
+            start, prob.beta0 = prob.beta0, 0.0
+            cold.append(assert_newton_matches_exact(reg, prob).evaluations)
+            prob.beta0 = start
+            info = assert_newton_matches_exact(reg, prob)
+            warm.append(info.evaluations)
+            prob.beta0 = info.beta
+        assert np.median(warm) <= 2
+        assert np.median(cold) >= 3
+        assert sum(warm) < sum(cold)
+
+
+def test_soft_threshold_bitwise_sign_form():
+    # the copysign form keeps the bytes of sign(z) * max(|z| - t, 0), for
+    # scalar and per-coordinate thresholds; only z = -0 differs (-0 for +0)
+    rng = make_rng(46)
+    z = np.concatenate([3.0 * rng.standard_normal(500),
+                        [0.0, 0.5, -0.5, 1e-300, -1e-300, math.inf,
+                         -math.inf]])
+    for t in (0.5, 0.05 + rng.random(z.size)):
+        want = np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
+        assert P._soft_threshold(z, t).tobytes() == want.tobytes()
+    y = P._soft_threshold(np.array([-0.0]), 0.5)
+    assert y[0] == 0.0 and math.copysign(1.0, y[0]) == -1.0
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3])
+def test_prox_out_matches_allocating_call(lam):
+    rng = make_rng(47)
+    reg = Regularizer(RegKind.L1 if lam > 0 else RegKind.ZERO, lam)
+    for d in (1, 7, 20000):
+        x = 2.0 * rng.standard_normal(d)
+        want = prox(reg, x, 0.7)
+        buf = np.full(d, math.nan)
+        got = prox(reg, x, 0.7, out=buf)
+        assert got is buf
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3])
+def test_prox_out_sharing_x_raises(lam):
+    # out may not overlap x, whether it is x itself or a view into it
+    reg = Regularizer(RegKind.L1 if lam > 0 else RegKind.ZERO, lam)
+    rows = np.arange(12.0).reshape(2, 6)
+    for x, out in ((rows[0], rows[0]), (rows.ravel()[:6], rows.ravel()[3:9])):
+        with pytest.raises(ValueError, match="share memory"):
+            prox(reg, x, 0.5, out=out)
+    assert np.array_equal(rows, np.arange(12.0).reshape(2, 6))
+    prox(reg, rows[0], 0.5, out=rows[1])  # disjoint rows of one array
+
+
 def test_prox_module_not_shadowed():
     import proxsqn
     assert P.__name__ == "proxsqn.prox"

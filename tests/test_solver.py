@@ -264,6 +264,49 @@ def test_warmup_gating(midsize, lasso_reg):
     assert res.metric_rebuilds + res.anomalies == total // Z - 1
 
 
+def test_scaled_steps_start_from_the_previous_root(midsize, lasso_reg,
+                                                    monkeypatch):
+    # every scaled step goes through proxsqn.prox.scaled_prox_info, and its
+    # Newton start is the previous step's root under the same metric (0
+    # after each rebuild)
+    import proxsqn.prox as prox_module
+    orig = prox_module.scaled_prox_info
+    calls = []
+
+    def recording(reg, prob):
+        start = prob.beta0
+        y, info = orig(reg, prob)
+        calls.append((prob, start, info.beta))
+        return y, info
+
+    monkeypatch.setattr(prox_module, "scaled_prox_info", recording)
+    res = run(midsize, lasso_reg, sqn_config(epochs=2, m=40))
+    assert len(calls) == res.scaled_prox_calls > 0
+    assert calls[0][1] == 0.0
+    for (p0, _, root), (p1, start, _) in zip(calls, calls[1:]):
+        assert start == (root if p1 is p0 else 0.0)
+    # the last rebuild may come after the last scaled step
+    assert 1 < len({id(c[0]) for c in calls}) <= res.metric_rebuilds
+
+
+@pytest.mark.parametrize("kind", [SolverKind.PROX_SQN, SolverKind.PROX_SVRG])
+def test_runs_share_no_buffers(midsize, lasso_reg, kind):
+    # the inner loop writes into its own rows; two runs in one process give
+    # the same trace, and the first result's x belongs to its caller
+    cfg = sqn_config(kind=kind, epochs=3, m=40)
+    first = run(midsize, lasso_reg, cfg)
+    x_first = first.x.copy()
+    first.x[:] = math.nan
+    second = run(midsize, lasso_reg, cfg)
+
+    def trace(res):  # every record field but elapsed_ns
+        return [(r.epoch, r.iteration, r.objective, r.subopt, r.grad_evals,
+                 r.metric_rebuilds) for r in res.records]
+
+    assert trace(first) == trace(second)
+    assert second.x.tobytes() == x_first.tobytes()
+
+
 def test_metric_disabled_run_never_scales(midsize, lasso_reg):
     res = run(midsize, lasso_reg, sqn_config(kind=SolverKind.PROX_SVRG,
                                              epochs=2))

@@ -8,7 +8,7 @@ proxsqn.prox.scaled_prox_info to record every call's RootInfo. For each
 workload it prints the number of calls, the count of each route
 (RootInfo.method: "newton" when the Newton route's root passed the guard,
 "newton+exact" after a fallback to the exact route), the calls that fell
-back (a method with "+"), and the median and largest number of g
+back (a method with "+"), and the mean, median and largest number of g
 evaluations per call. It exits 1 when any call fell back.
 """
 
@@ -50,7 +50,8 @@ def tally(name, seeds):
         P.scaled_prox_info = orig
     fallbacks = sum(c for m, c in routes.items() if "+" in m)
     print(f"{name}: {len(evals)} calls, routes {dict(routes)}, "
-          f"fallbacks {fallbacks}, evaluations median "
+          f"fallbacks {fallbacks}, evaluations mean "
+          f"{statistics.fmean(evals) if evals else 0:.3f} median "
           f"{statistics.median(evals) if evals else 0} max "
           f"{max(evals, default=0)}", flush=True)
     return fallbacks
