@@ -259,9 +259,11 @@ def batch_slabs(ds: Dataset, rows: np.ndarray):
     return ds.indices[pos], ds.values[pos], row_ids
 
 
-def batch_margins(ds: Dataset, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """a_i'x for each row i in the batch."""
-    cols, vals, rid = batch_slabs(ds, rows)
+def batch_margins(ds: Dataset, rows: np.ndarray, x: np.ndarray,
+                  slabs=None) -> np.ndarray:
+    """a_i'x for each row i in the batch; slabs, when given, are
+    batch_slabs(ds, rows), already gathered."""
+    cols, vals, rid = batch_slabs(ds, rows) if slabs is None else slabs
     return np.bincount(rid, weights=vals * x[cols], minlength=rows.size)
 
 
@@ -285,12 +287,12 @@ def full_gradient(obj: SmoothObjective, x: np.ndarray) -> np.ndarray:
     return (A.T @ coef) / obj.n + obj.ridge * x
 
 
-def _hess_weights(obj, batch, x):
+def _hess_weights(obj, batch, x, slabs=None):
     """Per-row curvature weights w_i at x: hess f_i = w_i a_i a_i' + ridge I."""
     loss = LOSSES[obj.loss]
     if loss.curvature is None:  # constant: no margins needed
         return np.full(batch.size, loss.curvature_bound)
-    z = batch_margins(obj.dataset, batch, x)
+    z = batch_margins(obj.dataset, batch, x, slabs)
     return loss.curvature(z, obj.dataset.labels[batch])
 
 
@@ -300,9 +302,9 @@ def hessian_vec(obj: SmoothObjective, batch: np.ndarray, x: np.ndarray,
     batch = np.asarray(batch, dtype=np.int64)
     if batch.size == 0:
         raise ValueError("batch must be nonempty")
-    cols, vals, rid = batch_slabs(obj.dataset, batch)
+    slabs = cols, vals, rid = batch_slabs(obj.dataset, batch)
     q = np.bincount(rid, weights=vals * s[cols], minlength=batch.size)
-    coef = _hess_weights(obj, batch, x) * q
+    coef = _hess_weights(obj, batch, x, slabs) * q
     out = np.bincount(cols, weights=coef[rid] * vals, minlength=obj.d)
     out += (batch.size * obj.ridge) * s
     return out

@@ -15,7 +15,10 @@ with per-index divisors w_j chosen so E[v] = grad F(x) exactly:
                         second-moment bound is not claimed for it)
 
 All draws consume the stream of one numpy Philox generator, so runs are
-reproducible from the 64-bit seed alone.
+reproducible from the 64-bit seed alone. Sampler.draw_epoch(m) takes the
+words of m batches in one call, in the order m draw() calls take them, so
+the batches are bit for bit the same; uniform subsets come from
+_floyd_block, Floyd's rule applied one column at a time to all m rows.
 """
 
 from __future__ import annotations
@@ -55,11 +58,17 @@ class SamplingScheme:
 
 @dataclass(eq=False)
 class Batch:
-    """Drawn indices with per-index estimator divisors."""
+    """Drawn indices with per-index estimator divisors.
+
+    slabs and labels, when given, are the batch's gathered rows: exactly
+    batch_slabs(dataset, indices) and dataset.labels[indices].
+    """
 
     indices: np.ndarray
     weights: np.ndarray
     full: bool = False  # exact full batch (uniform, b = n)
+    slabs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    labels: np.ndarray | None = None
 
 
 @dataclass(eq=False)
@@ -93,6 +102,22 @@ def _floyd_sample(rng, n, b):
     return np.array(sorted(chosen), dtype=np.int64)
 
 
+def _floyd_block(rng, n, b, m):
+    """m uniform size-b subsets as the sorted rows of an (m, b) array.
+
+    Row for row, and word for word of the stream, m _floyd_sample calls:
+    one call takes the m*b words with the same bounds in the same order.
+    Floyd's rule (entry j becomes n-b+j when it repeats an earlier entry
+    of its row) is then applied one column at a time to all rows.
+    """
+    lo = n - b
+    out = rng.integers(0, np.tile(np.arange(lo + 1, n + 1), m)).reshape(m, b)
+    for j in range(1, b):
+        out[(out[:, :j] == out[:, j:j + 1]).any(axis=1), j] = lo + j
+    out.sort(axis=1)
+    return out
+
+
 class Sampler:
     """Stateful batch source for one (objective, scheme) pair.
 
@@ -121,31 +146,62 @@ class Sampler:
                 )
             subsets = list(itertools.combinations(range(n), scheme.b))
             ls = np.array([L[list(S)].sum() for S in subsets])
-            self._subsets = [np.array(S, dtype=np.int64) for S in subsets]
+            self._subsets = np.array(subsets, dtype=np.int64)
             self._q = ls / ls.sum()
             self._cum = np.cumsum(self._q)
 
     def draw(self) -> Batch:
+        """One batch: the first and only batch of draw_epoch(1)."""
+        return next(self.draw_epoch(1))
+
+    def draw_epoch(self, m: int):
+        """Iterator over the next m batches, bit for bit m draw() calls.
+
+        Every word of the m batches is taken from the stream now, in the
+        order m draw() calls would take them. The rows are gathered as the
+        iterator is consumed, in blocks of at most n rows (one batch when
+        b > n), so each batch carries views of its slabs and labels and the
+        memory of a block stays at one pass over the data.
+        """
         n, b = self.obj.n, self.scheme.b
         kind = self.scheme.kind
+        rng = self.rng
         if kind is SchemeKind.UNIFORM_BATCH:
-            idx = _floyd_sample(self.rng, n, b)
-            return Batch(idx, np.full(b, float(b)), full=(b == n))
-        if kind is SchemeKind.WEIGHTED_SINGLE:
-            i = int(np.searchsorted(self._cum, self.rng.random(), side="right"))
-            i = min(i, n - 1)
-            return Batch(np.array([i], dtype=np.int64),
-                         np.array([n * b * self._p[i]]))
-        if kind is SchemeKind.WEIGHTED_BATCH:
-            k = int(np.searchsorted(self._cum, self.rng.random(), side="right"))
-            k = min(k, len(self._subsets) - 1)
-            idx = self._subsets[k]
-            w = math.comb(n, b) * b * self._q[k]
-            return Batch(idx, np.full(b, w))
-        # replacement: b independent Lipschitz-weighted draws
-        ks = np.searchsorted(self._cum, self.rng.random(b), side="right")
-        ks = np.minimum(ks, n - 1).astype(np.int64)
-        return Batch(ks, n * b * self._p[ks])
+            idx = _floyd_block(rng, n, b, m)
+            weights = np.full((m, b), float(b))
+        elif kind is SchemeKind.WEIGHTED_BATCH:
+            ks = np.searchsorted(self._cum, rng.random(m), side="right")
+            ks = np.minimum(ks, len(self._subsets) - 1)
+            idx = self._subsets[ks]
+            weights = np.repeat(math.comb(n, b) * b * self._q[ks], b)
+            weights = weights.reshape(m, b)
+        else:
+            # weighted_single (b = 1) and replacement: m*b i.i.d. draws
+            ks = np.searchsorted(self._cum, rng.random(m * b), side="right")
+            idx = np.minimum(ks, n - 1).astype(np.int64).reshape(m, b)
+            weights = n * b * self._p[idx]
+        return self._batches(idx, weights, full=(
+            kind is SchemeKind.UNIFORM_BATCH and b == n))
+
+    def _batches(self, idx, weights, full):
+        if full:  # the estimator takes the full gradient, no rows needed
+            for t in range(idx.shape[0]):
+                yield Batch(idx[t], weights[t], full=True)
+            return
+        ds = self.obj.dataset
+        m, b = idx.shape
+        per_block = max(1, ds.n // b)
+        for t0 in range(0, m, per_block):
+            rows = idx[t0:t0 + per_block]
+            cols, vals, rid = batch_slabs(ds, rows.ravel())
+            labels = ds.labels[rows]
+            # entry offsets of each batch in the block, and batch-local ids
+            ends = np.searchsorted(rid, np.arange(0, rows.size + 1, b))
+            local = rid % b
+            for t, (lo, hi) in enumerate(zip(ends[:-1].tolist(),
+                                             ends[1:].tolist())):
+                yield Batch(rows[t], weights[t0 + t], slabs=(
+                    cols[lo:hi], vals[lo:hi], local[lo:hi]), labels=labels[t])
 
 
 def vr_gradient(obj: SmoothObjective, snapshot: SnapshotState, batch: Batch,
@@ -160,10 +216,13 @@ def vr_gradient(obj: SmoothObjective, snapshot: SnapshotState, batch: Batch,
         return full_gradient(obj, x)
     xt = snapshot.x_tilde
     k = batch.indices.size
-    cols, vals, rid = batch_slabs(obj.dataset, batch.indices)
+    if batch.slabs is None:
+        cols, vals, rid = batch_slabs(obj.dataset, batch.indices)
+        bl = obj.dataset.labels[batch.indices]
+    else:
+        (cols, vals, rid), bl = batch.slabs, batch.labels
     zs = np.bincount(rid, weights=vals * x[cols], minlength=k)
     zts = np.bincount(rid, weights=vals * xt[cols], minlength=k)
-    bl = obj.dataset.labels[batch.indices]
     cw = LOSSES[obj.loss].coef_diff(zs, zts, bl) / batch.weights
     diff = np.bincount(cols, weights=cw[rid] * vals, minlength=obj.d)
     # the ridge and snapshot terms added in place, bit for bit

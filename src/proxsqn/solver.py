@@ -4,9 +4,12 @@ ProxSQN epoch structure (epochs s = 1..S, inner iterations j = 0..m-1, global
 1-based counter g = (s-1)m + j + 1):
 
   * each epoch snapshots xt = previous epoch average and its full gradient;
-  * each inner step draws a batch, forms the variance-reduced estimate v, and
-    updates by a plain prox step during warmup (g <= 2Z) or by the scaled
-    prox step x+ = prox_{eta R}^{H}(x - eta H^{-1} v) afterwards;
+  * after the snapshot the epoch's m gradient batches are drawn at once,
+    the same words of the same stream as one draw per step, and their rows
+    are gathered in blocks as the steps consume them;
+  * each inner step takes its batch, forms the variance-reduced estimate v,
+    and updates by a plain prox step during warmup (g <= 2Z) or by the
+    scaled prox step x+ = prox_{eta R}^{H}(x - eta H^{-1} v) afterwards;
   * every Z global iterations the trailing window of Z inner points is
     averaged; the first trigger only seeds the anchor, each later trigger
     forms s_r = xhat_r - xhat_{r-1}, draws a uniform Hessian batch T_r of
@@ -181,10 +184,11 @@ def _run_inner_loop(obj, reg, config, p_star):
         snapshot = make_snapshot(obj, x)
         grad_evals += obj.n
         xsum = np.zeros(d)
-        for j in range(config.m):
+        # the epoch's m gradient batches: the words m draw() calls would take
+        batches = sampler.draw_epoch(config.m)
+        for j, batch in enumerate(batches):
             g = (s - 1) * config.m + j + 1
             window[(g - 1) % Z] = x
-            batch = sampler.draw()
             v = vr_gradient(obj, snapshot, batch, x)
             grad_evals += obj.n if batch.full else 2 * batch.indices.size
             warm = (g - 1) < 2 * Z

@@ -21,7 +21,7 @@ from .metric import CurvaturePair, apply_inverse, build_metric, \
 from .model import LossKind, SmoothObjective, full_gradient
 from .prox import RegKind, Regularizer, ScaledProxProblem, kkt_residual, \
     prox, scaled_prox, scaled_prox_info, subproblem_oracle
-from .sampler import SamplingScheme, SchemeKind, _floyd_sample, \
+from .sampler import SamplingScheme, SchemeKind, _floyd_block, \
     enumerate_estimator_stats, make_rng, make_snapshot
 from .solver import composite_value, reference_solution
 
@@ -253,13 +253,17 @@ def check_fixed_point(cases: int = 20) -> CheckResult:
                        f"{cases} metrics")
 
 
+def _subset_counts(rng, n: int, b: int, draws: int) -> dict[tuple, int]:
+    """How often each size-b subset comes out of `draws` uniform batches,
+    drawn by the route the sampler takes for a whole epoch."""
+    rows = _floyd_block(rng, n, b, draws)
+    keys, counts = np.unique(rows, axis=0, return_counts=True)
+    return dict(zip(map(tuple, keys.tolist()), counts.tolist()))
+
+
 def check_floyd_frequencies(draws: int = 150000) -> CheckResult:
     """Uniform n=6, b=2 subsets: each of the 15 subsets near 1/15."""
-    rng = make_rng(808)
-    counts: dict[tuple, int] = {}
-    for _ in range(draws):
-        key = tuple(_floyd_sample(rng, 6, 2))
-        counts[key] = counts.get(key, 0) + 1
+    counts = _subset_counts(make_rng(808), 6, 2, draws)
     p = 1.0 / 15.0
     sigma = math.sqrt(draws * p * (1.0 - p))
     if len(counts) != 15:

@@ -201,6 +201,25 @@ def test_hessian_vec_matches_gradient_difference(fixture, request):
     assert np.allclose(hessian_vec(obj, T, x, s), fd, atol=1e-5)
 
 
+def test_hessian_vec_gathers_its_batch_once(log_small, monkeypatch):
+    import proxsqn.model as model_module
+
+    calls = []
+
+    def counting_slabs(ds, rows):
+        calls.append(rows.size)
+        return batch_slabs(ds, rows)
+
+    rng = make_rng(17)
+    x, s = rng.standard_normal(log_small.d), rng.standard_normal(log_small.d)
+    batch = np.array([0, 2, 5, 7])
+    want = hessian_vec(log_small, batch, x, s)
+    monkeypatch.setattr(model_module, "batch_slabs", counting_slabs)
+    got = hessian_vec(log_small, batch, x, s)
+    assert calls == [batch.size]
+    assert np.array_equal(got, want)
+
+
 def test_dense_hessian_limit(sq_small):
     with pytest.raises(ValueError, match="dense limit"):
         dense_batch_hessian(sq_small, np.array([0]),

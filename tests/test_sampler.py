@@ -16,7 +16,35 @@ from proxsqn import (
     make_snapshot,
     vr_gradient,
 )
-from proxsqn.sampler import _floyd_sample
+from proxsqn import Batch
+from proxsqn.model import batch_slabs
+from proxsqn.sampler import _floyd_block, _floyd_sample
+
+
+def draw_one_by_one(sampler):
+    """One batch drawn the way the sampler drew one per step before it drew
+    whole epochs: the oracle for draw_epoch."""
+    n, b = sampler.obj.n, sampler.scheme.b
+    kind = sampler.scheme.kind
+    if kind is SchemeKind.UNIFORM_BATCH:
+        idx = _floyd_sample(sampler.rng, n, b)
+        return Batch(idx, np.full(b, float(b)), full=(b == n))
+    if kind is SchemeKind.WEIGHTED_SINGLE:
+        i = int(np.searchsorted(sampler._cum, sampler.rng.random(),
+                                side="right"))
+        i = min(i, n - 1)
+        return Batch(np.array([i], dtype=np.int64),
+                     np.array([n * b * sampler._p[i]]))
+    if kind is SchemeKind.WEIGHTED_BATCH:
+        k = int(np.searchsorted(sampler._cum, sampler.rng.random(),
+                                side="right"))
+        k = min(k, len(sampler._subsets) - 1)
+        idx = sampler._subsets[k]
+        w = math.comb(n, b) * b * sampler._q[k]
+        return Batch(idx, np.full(b, w))
+    ks = np.searchsorted(sampler._cum, sampler.rng.random(b), side="right")
+    ks = np.minimum(ks, n - 1).astype(np.int64)
+    return Batch(ks, n * b * sampler._p[ks])
 
 
 # ---------------------------------------------------------------- floyd sampling
@@ -30,6 +58,20 @@ def test_floyd_sample_shape_and_range():
             assert s.size == b
             assert np.all(np.diff(s) > 0)  # sorted, unique
             assert s.min() >= 0 and s.max() < n
+
+
+@pytest.mark.parametrize("n,b", [(12, 5), (1000, 10), (10, 10), (7, 1)])
+def test_floyd_block_is_the_floyd_sample_loop(n, b):
+    # 300 rows: at (1000, 10) about 13 of them hold a collision
+    m = 300
+    rng, oracle = make_rng(47), make_rng(47)
+    block = _floyd_block(rng, n, b, m)
+    loop = np.array([_floyd_sample(oracle, n, b) for _ in range(m)])
+    assert block.dtype == np.int64
+    assert np.array_equal(block, loop)
+    # the generator is left where the loop leaves it
+    assert rng.integers(0, 1 << 40) == oracle.integers(0, 1 << 40)
+    assert rng.random() == oracle.random()
 
 
 def test_floyd_sample_uniform_frequencies():
@@ -53,6 +95,80 @@ def test_sampler_determinism(sq_small):
     s1, s2 = Sampler(sq_small, scheme), Sampler(sq_small, scheme)
     for _ in range(20):
         assert np.array_equal(s1.draw().indices, s2.draw().indices)
+
+
+# ---------------------------------------------------------------- epoch draws
+
+# m is never a multiple of n // b, so the last block of rows is short
+EPOCHS = [
+    ("sq_small", SchemeKind.UNIFORM_BATCH, 2, 7),
+    ("sq_small", SchemeKind.UNIFORM_BATCH, 6, 4),  # b = n: full batches
+    ("sq_small", SchemeKind.WEIGHTED_SINGLE, 1, 13),
+    ("sq_small", SchemeKind.WEIGHTED_BATCH, 2, 7),
+    ("sq_small", SchemeKind.WEIGHTED_REPLACEMENT, 4, 7),
+    ("sq_small", SchemeKind.WEIGHTED_REPLACEMENT, 9, 5),  # b > n
+    ("midsize", SchemeKind.UNIFORM_BATCH, 7, 60),
+    ("midsize", SchemeKind.WEIGHTED_SINGLE, 1, 450),
+    ("midsize", SchemeKind.WEIGHTED_REPLACEMENT, 7, 60),
+]
+
+
+@pytest.mark.parametrize("fixture,kind,b,m", EPOCHS)
+def test_draw_epoch_is_m_draws(fixture, kind, b, m, request):
+    obj = request.getfixturevalue(fixture)
+    ds = obj.dataset
+    scheme = SamplingScheme(kind, b, seed=5)
+    sampler, oracle = Sampler(obj, scheme), Sampler(obj, scheme)
+    batches = sampler.draw_epoch(m)
+    want = [draw_one_by_one(oracle) for _ in range(m)]
+    # every word of the epoch is taken before the first batch is used
+    assert sampler.rng.random() == oracle.rng.random()
+    got = list(batches)
+    assert len(got) == m
+    rng = make_rng(48)
+    x, xt = rng.standard_normal(obj.d), rng.standard_normal(obj.d)
+    snap = make_snapshot(obj, xt)
+    for batch, ref in zip(got, want):
+        assert batch.indices.dtype == np.int64
+        assert np.array_equal(batch.indices, ref.indices)
+        assert np.array_equal(batch.weights, ref.weights)
+        assert batch.full == ref.full
+        # the estimator gives the same bits with or without the carried rows
+        assert np.array_equal(vr_gradient(obj, snap, batch, x),
+                              vr_gradient(obj, snap, ref, x))
+        if batch.full:
+            continue
+        assert np.array_equal(batch.labels, ds.labels[ref.indices])
+        for part, oracle_part in zip(batch.slabs,
+                                     batch_slabs(ds, ref.indices)):
+            assert part.dtype == oracle_part.dtype
+            assert np.array_equal(part, oracle_part)
+    # draw() is draw_epoch(1)'s batch
+    for _ in range(3):
+        one, ref = sampler.draw(), draw_one_by_one(oracle)
+        assert np.array_equal(one.indices, ref.indices)
+        assert np.array_equal(one.weights, ref.weights)
+
+
+@pytest.mark.parametrize("kind,b,m", [(SchemeKind.UNIFORM_BATCH, 7, 60),
+                                      (SchemeKind.WEIGHTED_SINGLE, 1, 450),
+                                      (SchemeKind.WEIGHTED_REPLACEMENT, 7, 60)])
+def test_draw_epoch_gathers_at_most_n_rows(midsize, kind, b, m, monkeypatch):
+    import proxsqn.sampler as sampler_module
+
+    sizes = []
+
+    def recording_slabs(ds, rows):
+        sizes.append(rows.size)
+        return batch_slabs(ds, rows)
+
+    monkeypatch.setattr(sampler_module, "batch_slabs", recording_slabs)
+    batches = Sampler(midsize, SamplingScheme(kind, b)).draw_epoch(m)
+    assert sizes == []  # rows are gathered only as batches are taken
+    for _ in batches:
+        assert max(sizes) <= midsize.n
+    assert sum(sizes) == m * b
+    assert len(sizes) == -(-m // (midsize.n // b))
 
 
 # ---------------------------------------------------------------- schemes
@@ -125,8 +241,6 @@ def test_weighted_replacement_weights(sq_small):
 
 
 def test_vr_gradient_formula(sq_small, log_small):
-    from proxsqn import Batch
-
     rng = make_rng(43)
     for obj in (sq_small, log_small):
         xt = rng.standard_normal(obj.d)
@@ -143,8 +257,6 @@ def test_vr_gradient_formula(sq_small, log_small):
 
 
 def test_vr_gradient_at_snapshot_is_exact(sq_small):
-    from proxsqn import Batch
-
     rng = make_rng(44)
     x = rng.standard_normal(sq_small.d)
     snap = make_snapshot(sq_small, x)
@@ -154,8 +266,6 @@ def test_vr_gradient_at_snapshot_is_exact(sq_small):
 
 
 def test_vr_gradient_full_batch_is_full_gradient(sq_small):
-    from proxsqn import Batch
-
     rng = make_rng(45)
     x = rng.standard_normal(sq_small.d)
     xt = rng.standard_normal(sq_small.d)

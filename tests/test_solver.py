@@ -140,14 +140,20 @@ def test_sqn_draws_the_svrg_gradient_batches(midsize, lasso_reg, monkeypatch):
     # Hessian batches come from their own stream, so switching the metric
     # on leaves the gradient batches exactly as ProxSVRG draws them
     draws = []
-    real_draw = Sampler.draw
+    real_draw_epoch = Sampler.draw_epoch
 
-    def recording_draw(self):
-        batch = real_draw(self)
-        draws[-1].append((batch.indices.tolist(), batch.weights.tolist()))
-        return batch
+    def recording_draw_epoch(self, m):
+        batches = real_draw_epoch(self, m)
 
-    monkeypatch.setattr(Sampler, "draw", recording_draw)
+        def recorded():
+            for batch in batches:
+                draws[-1].append((batch.indices.tolist(),
+                                  batch.weights.tolist()))
+                yield batch
+
+        return recorded()
+
+    monkeypatch.setattr(Sampler, "draw_epoch", recording_draw_epoch)
     kw = dict(epochs=3, eta=0.03, m=30, b=5, b_hessian=10, metric_period=5,
               seed=11)
     for kind in (SolverKind.PROX_SVRG, SolverKind.PROX_SQN):

@@ -2,8 +2,9 @@ import dataclasses
 
 import pytest
 
-from proxsqn import build_metric
-from proxsqn.verify import run_checks
+from proxsqn import build_metric, make_rng
+from proxsqn.sampler import _floyd_sample
+from proxsqn.verify import _subset_counts, check_floyd_frequencies, run_checks
 
 FAST_NAMES = [
     "secant_identity",
@@ -31,6 +32,22 @@ def test_full_level_adds_frequency_check():
     assert [r.name for r in results] == FAST_NAMES + ["floyd_frequencies"]
     for r in results:
         assert r.passed, f"{r.name}: {r.detail}"
+
+
+def test_frequency_check_counts_the_floyd_sample_loop():
+    # the check draws by the epoch route; its counts are the loop's own
+    rng = make_rng(808)
+    loop: dict[tuple, int] = {}
+    for _ in range(150000):
+        key = tuple(_floyd_sample(rng, 6, 2).tolist())
+        loop[key] = loop.get(key, 0) + 1
+    assert _subset_counts(make_rng(808), 6, 2, 150000) == loop
+
+
+def test_frequency_check_fails_when_subsets_are_missing():
+    result = check_floyd_frequencies(draws=10)
+    assert not result.passed
+    assert "of 15 subsets" in result.detail
 
 
 def test_bad_level_rejected():
