@@ -10,16 +10,13 @@ from .errors import ConfigError, ConvergenceError, DivergenceError, \
     EnumerationLimitError, LibsvmFormatError, NegativeCurvatureError, \
     SecantError
 from .metric import CurvaturePair, Metric, MetricBounds, IDENTITY_BOUNDS, \
-    apply_inverse, build_metric, dense_inverse, metric_as_splitting, \
-    metric_spectrum_bounds
+    apply_inverse, build_metric, metric_as_splitting, metric_spectrum_bounds
 from .model import BatchHessianSpectrum, Dataset, LossKind, SmoothObjective, \
-    batch_gradient, batch_spectrum, component_gradient, dense_batch_hessian, \
-    full_gradient, hessian_vec, smooth_value
+    dense_batch_hessian, full_gradient, hessian_vec, smooth_value
 # the plain prox function is not re-exported: it would shadow the module
 # proxsqn.prox, so it is imported as `from proxsqn.prox import prox`
 from .prox import RegKind, Regularizer, RootInfo, ScaledProxProblem, \
-    dense_metric, kkt_residual, reg_value, scaled_prox, scaled_prox_info, \
-    subproblem_oracle
+    reg_value, scaled_prox, scaled_prox_info
 from .sampler import Batch, EstimatorStats, Sampler, SamplingScheme, \
     SchemeKind, SnapshotState, enumerate_estimator_stats, make_rng, \
     make_snapshot, vr_gradient

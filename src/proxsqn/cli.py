@@ -110,9 +110,12 @@ def cmd_run(ctx, config_path):
     """Run every solver in CONFIG_PATH and write one CSV trace per solver."""
     cfg = _load_config(config_path)
     if ctx.obj["seed"] is not None:
-        cfg.solvers = [
-            (name, dataclasses.replace(sc, seed=ctx.obj["seed"]))
-            for name, sc in cfg.solvers]
+        try:
+            cfg.solvers = [
+                (name, dataclasses.replace(sc, seed=ctx.obj["seed"]))
+                for name, sc in cfg.solvers]
+        except ValueError as exc:
+            _fail(1, f"--seed: {exc}")
     ds = _materialize(cfg)
     try:
         obj = SmoothObjective.build(ds, cfg.loss, cfg.ridge)

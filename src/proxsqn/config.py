@@ -24,7 +24,7 @@ Recognized keys:
                                    to <name> when <name> is a solver kind
 
 Solver fields: kind, epochs, eta, m, b, b_hessian, metric_period, alpha,
-skip_eps, scheme, seed, divergence_factor, dense_limit.
+skip_eps, scheme, seed; a seed, here or in synthetic.seed, is in [0, 2^64).
 """
 
 from __future__ import annotations
@@ -194,16 +194,11 @@ def parse_config(text: str, require_solvers: bool = True) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"solver {name!r}: {exc}") from None
 
-    try:
-        return ExperimentConfig(
-            loss=loss, ridge=scalars["ridge"], lambda1=scalars["lambda1"],
-            solvers=solvers, dataset=scalars.get("dataset"),
-            synthetic=synthetic, output=scalars.get("output"),
-            ref_tol=scalars.get("ref_tol", 1e-12))
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return ExperimentConfig(
+        loss=loss, ridge=scalars["ridge"], lambda1=scalars["lambda1"],
+        solvers=solvers, dataset=scalars.get("dataset"),
+        synthetic=synthetic, output=scalars.get("output"),
+        ref_tol=scalars.get("ref_tol", 1e-12))
 
 
 def _format_scalar(value) -> str:

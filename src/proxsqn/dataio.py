@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import LibsvmFormatError
 from .model import LOSSES, Dataset, LossKind
-from .sampler import _floyd_sample, make_rng
+from .sampler import _floyd_sample, check_seed, make_rng
 
 _TOKEN = re.compile(r"\S+")
 
@@ -149,6 +149,7 @@ class SyntheticSpec:
             raise ValueError("condition target must be >= 1 and finite")
         if not 0.0 <= self.noise < math.inf:
             raise ValueError("noise must be >= 0 and finite")
+        check_seed(self.seed)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, np.ndarray]:

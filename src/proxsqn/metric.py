@@ -127,14 +127,6 @@ def metric_as_splitting(metric: Metric):
     return diag, w, -1
 
 
-def dense_inverse(metric: Metric) -> np.ndarray:
-    """H^{-1} as a dense matrix (test/oracle use)."""
-    out = (metric.alpha * metric.tau) * np.eye(metric.d)
-    if not metric.skipped:
-        out += np.outer(metric.u, metric.u)
-    return out
-
-
 @dataclass
 class MetricBounds:
     """Uniform eigenvalue bounds gamma I <= H <= Gamma I for planning."""

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-_DENSE_LIMIT_DEFAULT = 512
+_DENSE_LIMIT = 256
 
 
 class LossKind(enum.Enum):
@@ -231,17 +231,6 @@ def smooth_value(obj: SmoothObjective, x: np.ndarray) -> float:
     return float(data + 0.5 * obj.ridge * (x @ x))
 
 
-def component_gradient(obj: SmoothObjective, i: int, x: np.ndarray) -> np.ndarray:
-    """grad f_i(x), O(nnz) plus the dense ridge term."""
-    if not 0 <= i < obj.n:
-        raise IndexError(f"component {i} out of range")
-    idx, val = obj.dataset.row(i)
-    zi = float(val @ x[idx])
-    g = obj.ridge * x
-    g[idx] += LOSSES[obj.loss].coef(zi, obj.dataset.labels[i]) * val
-    return g
-
-
 def batch_slabs(ds: Dataset, rows: np.ndarray):
     """Flat view of a row batch: (cols, vals, row_ids).
 
@@ -259,25 +248,10 @@ def batch_slabs(ds: Dataset, rows: np.ndarray):
     return ds.indices[pos], ds.values[pos], row_ids
 
 
-def batch_margins(ds: Dataset, rows: np.ndarray, x: np.ndarray,
-                  slabs=None) -> np.ndarray:
-    """a_i'x for each row i in the batch; slabs, when given, are
-    batch_slabs(ds, rows), already gathered."""
-    cols, vals, rid = batch_slabs(ds, rows) if slabs is None else slabs
+def batch_margins(rows: np.ndarray, x: np.ndarray, slabs) -> np.ndarray:
+    """a_i'x for each batch row i, from the slabs batch_slabs(ds, rows)."""
+    cols, vals, rid = slabs
     return np.bincount(rid, weights=vals * x[cols], minlength=rows.size)
-
-
-def batch_gradient(obj: SmoothObjective, batch: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """grad f_S(x) = sum_{i in S} grad f_i(x). S is a sum, not an average."""
-    batch = np.asarray(batch, dtype=np.int64)
-    if batch.size == 0:
-        raise ValueError("batch must be nonempty")
-    cols, vals, rid = batch_slabs(obj.dataset, batch)
-    z = np.bincount(rid, weights=vals * x[cols], minlength=batch.size)
-    coef = LOSSES[obj.loss].coef(z, obj.dataset.labels[batch])
-    acc = np.bincount(cols, weights=coef[rid] * vals, minlength=obj.d)
-    acc += (batch.size * obj.ridge) * x
-    return acc
 
 
 def full_gradient(obj: SmoothObjective, x: np.ndarray) -> np.ndarray:
@@ -287,12 +261,12 @@ def full_gradient(obj: SmoothObjective, x: np.ndarray) -> np.ndarray:
     return (A.T @ coef) / obj.n + obj.ridge * x
 
 
-def _hess_weights(obj, batch, x, slabs=None):
+def _hess_weights(obj, batch, x, slabs):
     """Per-row curvature weights w_i at x: hess f_i = w_i a_i a_i' + ridge I."""
     loss = LOSSES[obj.loss]
     if loss.curvature is None:  # constant: no margins needed
         return np.full(batch.size, loss.curvature_bound)
-    z = batch_margins(obj.dataset, batch, x, slabs)
+    z = batch_margins(batch, x, slabs)
     return loss.curvature(z, obj.dataset.labels[batch])
 
 
@@ -310,34 +284,18 @@ def hessian_vec(obj: SmoothObjective, batch: np.ndarray, x: np.ndarray,
     return out
 
 
-def dense_batch_hessian(obj: SmoothObjective, batch: np.ndarray, x: np.ndarray,
-                        dense_limit: int = _DENSE_LIMIT_DEFAULT) -> np.ndarray:
-    """Assemble sum_{i in T} hess f_i(x) densely. Guarded by dense_limit."""
+def dense_batch_hessian(obj: SmoothObjective, batch: np.ndarray,
+                        x: np.ndarray) -> np.ndarray:
+    """Assemble sum_{i in T} hess f_i(x) densely, for d up to _DENSE_LIMIT."""
     batch = np.asarray(batch, dtype=np.int64)
-    if obj.d > dense_limit:
-        raise ValueError(f"d = {obj.d} exceeds dense limit {dense_limit}")
+    if obj.d > _DENSE_LIMIT:
+        raise ValueError(f"d = {obj.d} exceeds dense limit {_DENSE_LIMIT}")
     if batch.size == 0:
         raise ValueError("batch must be nonempty")
-    w = _hess_weights(obj, batch, x)
+    w = _hess_weights(obj, batch, x, batch_slabs(obj.dataset, batch))
     H = np.zeros((obj.d, obj.d))
     for k, i in enumerate(batch):
         idx, val = obj.dataset.row(i)
         H[np.ix_(idx, idx)] += w[k] * np.outer(val, val)
     H[np.diag_indices(obj.d)] += batch.size * obj.ridge
     return H
-
-
-def batch_spectrum(obj: SmoothObjective, batch: np.ndarray, x: np.ndarray,
-                   dense_limit: int = _DENSE_LIMIT_DEFAULT) -> BatchHessianSpectrum:
-    """Extreme eigenvalues (lambda_lo, lambda_hi) of the batch-sum Hessian.
-
-    A numerically nonpositive lambda_lo (possible only at ridge = 0) is
-    reported with the degenerate flag instead of raising.
-    """
-    H = dense_batch_hessian(obj, batch, x, dense_limit)
-    eigs = np.linalg.eigvalsh(H)
-    lo, hi = float(eigs[0]), float(eigs[-1])
-    tiny = 1e-12 * max(1.0, abs(hi))
-    if lo <= tiny:
-        return BatchHessianSpectrum(max(lo, 0.0), hi, degenerate=True)
-    return BatchHessianSpectrum(lo, hi)

@@ -22,10 +22,9 @@ breakpoints for the linear piece holding the root, then the exact secant
 step on it. Its root stands. A non-finite x, as in a diverging run, makes
 g inf or nan: neither route finds a root, and the non-finite y of the
 exact route is returned for the caller's divergence guard, not an
-exception. A sorted
-breakpoint search and a bisection solver serve as oracles in
-tests/test_prox.py; both routes are independent of the iterative
-subproblem oracle below.
+exception. A sorted breakpoint search and a bisection solver serve as
+oracles in tests/test_prox.py; both routes are independent of the
+iterative subproblem solver and the KKT residual in proxsqn.oracles.
 """
 
 from __future__ import annotations
@@ -35,8 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import ConvergenceError
 
 _U_ZERO_TOL = 1e-14
 _NEWTON_ITERS = 10
@@ -333,54 +330,3 @@ def scaled_prox(reg: Regularizer, prob: ScaledProxProblem) -> np.ndarray:
     """prox_{eta R}^H(x) for H = diag(D) + sign * u u'."""
     y, _ = scaled_prox_info(reg, prob)
     return y
-
-
-def dense_metric(prob: ScaledProxProblem) -> np.ndarray:
-    """Assemble H = diag(D) + sign * u u' densely (test/oracle use)."""
-    H = np.diag(prob.diag).astype(np.float64)
-    H += float(prob.sign) * np.outer(prob.rank1, prob.rank1)
-    return H
-
-
-def subproblem_oracle(reg: Regularizer, prob: ScaledProxProblem,
-                      tol: float = 1e-10, max_iter: int = 200000) -> np.ndarray:
-    """Independent check: solve the same subproblem by plain proximal gradient.
-
-    Minimizes eta R(y) + 0.5 ||y - x||_H^2 with step 1/sigma_max(H), stopping
-    on successive-iterate change <= tol. Shares no code with the root-finding
-    path above.
-    """
-    H = dense_metric(prob)
-    sigma = float(np.linalg.eigvalsh(H)[-1])
-    y = prob.x.copy()
-    lam = reg.lambda1 if reg.kind is RegKind.L1 else 0.0
-    thresh = (prob.eta / sigma) * lam
-    for _ in range(max_iter):
-        grad = H @ (y - prob.x)
-        z = y - grad / sigma
-        y_next = _soft_threshold(z, thresh) if lam > 0.0 else z
-        if float(np.linalg.norm(y_next - y)) <= tol:
-            return y_next
-        y = y_next
-    raise ConvergenceError(
-        f"subproblem oracle did not reach tol={tol} in {max_iter} iterations "
-        "(ill-conditioned test instance?)"
-    )
-
-
-def kkt_residual(reg: Regularizer, prob: ScaledProxProblem,
-                 y: np.ndarray) -> float:
-    """Max violation of the optimality condition H(x - y)/eta in d R(y).
-
-    Zero regularizer: ||H(x-y)||_inf. L1: per-coordinate distance of
-    r_j = [H(x-y)/eta]_j to lambda1*sign(y_j) (y_j != 0) or to the interval
-    [-lambda1, lambda1] (y_j = 0).
-    """
-    r = dense_metric(prob) @ (prob.x - y) / prob.eta
-    if reg.kind is RegKind.ZERO or reg.lambda1 == 0.0:
-        return float(np.max(np.abs(r))) if r.size else 0.0
-    lam = reg.lambda1
-    viol = np.where(y != 0.0,
-                    np.abs(r - lam * np.sign(y)),
-                    np.maximum(np.abs(r) - lam, 0.0))
-    return float(np.max(viol))

@@ -19,6 +19,7 @@ reproducible from the 64-bit seed alone. Sampler.draw_epoch(m) takes the
 words of m batches in one call, in the order m draw() calls take them, so
 the batches are bit for bit the same; uniform subsets come from
 _floyd_block, Floyd's rule applied one column at a time to all m rows.
+gather_batches, the one builder of a Batch, gathers their rows in blocks.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnumerationLimitError
-from .model import LOSSES, SmoothObjective, batch_slabs, full_gradient
+from .model import LOSSES, Dataset, SmoothObjective, batch_slabs, full_gradient
 
 _ENUM_LIMIT = 100000
 
@@ -58,10 +59,10 @@ class SamplingScheme:
 
 @dataclass(eq=False)
 class Batch:
-    """Drawn indices with per-index estimator divisors.
+    """Drawn indices with per-index estimator divisors, from gather_batches.
 
-    slabs and labels, when given, are the batch's gathered rows: exactly
-    batch_slabs(dataset, indices) and dataset.labels[indices].
+    slabs and labels are the gathered rows, exactly batch_slabs(dataset,
+    indices) and dataset.labels[indices]; a full batch carries neither.
     """
 
     indices: np.ndarray
@@ -83,8 +84,15 @@ def make_snapshot(obj: SmoothObjective, x: np.ndarray) -> SnapshotState:
     return SnapshotState(x.copy(), full_gradient(obj, x))
 
 
+def check_seed(seed: int) -> None:
+    """Raise ValueError unless seed is a valid 64-bit generator key."""
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed {seed} is outside [0, 2^64)")
+
+
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based generator keyed by an explicit 64-bit seed."""
+    check_seed(seed)
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
@@ -125,25 +133,20 @@ class Sampler:
     Lipschitz-proportional probabilities are precomputed at construction.
     """
 
-    def __init__(self, obj: SmoothObjective, scheme: SamplingScheme,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, obj: SmoothObjective, scheme: SamplingScheme):
         n = obj.n
         if scheme.kind is not SchemeKind.WEIGHTED_REPLACEMENT and scheme.b > n:
             raise ValueError(f"batch size {scheme.b} exceeds n = {n}")
         self.obj = obj
         self.scheme = scheme
-        self.rng = rng if rng is not None else make_rng(scheme.seed)
+        self.rng = make_rng(scheme.seed)
         L = obj.component_lipschitz
         if scheme.kind in (SchemeKind.WEIGHTED_SINGLE,
                            SchemeKind.WEIGHTED_REPLACEMENT):
             self._p = L / L.sum()
             self._cum = np.cumsum(self._p)
         elif scheme.kind is SchemeKind.WEIGHTED_BATCH:
-            count = math.comb(n, scheme.b)
-            if count > _ENUM_LIMIT:
-                raise EnumerationLimitError(
-                    f"WeightedBatch needs C(n,b) = {count} <= {_ENUM_LIMIT}"
-                )
+            _check_support(math.comb(n, scheme.b))
             subsets = list(itertools.combinations(range(n), scheme.b))
             ls = np.array([L[list(S)].sum() for S in subsets])
             self._subsets = np.array(subsets, dtype=np.int64)
@@ -158,10 +161,8 @@ class Sampler:
         """Iterator over the next m batches, bit for bit m draw() calls.
 
         Every word of the m batches is taken from the stream now, in the
-        order m draw() calls would take them. The rows are gathered as the
-        iterator is consumed, in blocks of at most n rows (one batch when
-        b > n), so each batch carries views of its slabs and labels and the
-        memory of a block stays at one pass over the data.
+        order m draw() calls would take them; gather_batches gathers their
+        rows as the iterator is consumed.
         """
         n, b = self.obj.n, self.scheme.b
         kind = self.scheme.kind
@@ -180,28 +181,36 @@ class Sampler:
             ks = np.searchsorted(self._cum, rng.random(m * b), side="right")
             idx = np.minimum(ks, n - 1).astype(np.int64).reshape(m, b)
             weights = n * b * self._p[idx]
-        return self._batches(idx, weights, full=(
+        return gather_batches(self.obj.dataset, idx, weights, full=(
             kind is SchemeKind.UNIFORM_BATCH and b == n))
 
-    def _batches(self, idx, weights, full):
-        if full:  # the estimator takes the full gradient, no rows needed
-            for t in range(idx.shape[0]):
-                yield Batch(idx[t], weights[t], full=True)
-            return
-        ds = self.obj.dataset
-        m, b = idx.shape
-        per_block = max(1, ds.n // b)
-        for t0 in range(0, m, per_block):
-            rows = idx[t0:t0 + per_block]
-            cols, vals, rid = batch_slabs(ds, rows.ravel())
-            labels = ds.labels[rows]
-            # entry offsets of each batch in the block, and batch-local ids
-            ends = np.searchsorted(rid, np.arange(0, rows.size + 1, b))
-            local = rid % b
-            for t, (lo, hi) in enumerate(zip(ends[:-1].tolist(),
-                                             ends[1:].tolist())):
-                yield Batch(rows[t], weights[t0 + t], slabs=(
-                    cols[lo:hi], vals[lo:hi], local[lo:hi]), labels=labels[t])
+
+def gather_batches(ds: Dataset, idx: np.ndarray, weights: np.ndarray,
+                   full: bool):
+    """Iterator over the batches of the rows of idx and weights, (m, b) each.
+
+    The one place a Batch is built. A full batch (uniform, b = n) carries
+    no rows: the estimator takes the full gradient. Otherwise the rows are
+    gathered as the iterator is consumed, in blocks of at most n rows (one
+    batch when b > n), so the memory of a block stays at one pass over the
+    data, and each batch carries views of its slabs and labels.
+    """
+    if full:
+        yield from (Batch(i, w, full=True) for i, w in zip(idx, weights))
+        return
+    m, b = idx.shape
+    per_block = max(1, ds.n // b)
+    for t0 in range(0, m, per_block):
+        rows = idx[t0:t0 + per_block]
+        cols, vals, rid = batch_slabs(ds, rows.ravel())
+        labels = ds.labels[rows]
+        # entry offsets of each batch in the block, and batch-local ids
+        ends = np.searchsorted(rid, np.arange(0, rows.size + 1, b))
+        local = rid % b
+        for t, (lo, hi) in enumerate(zip(ends[:-1].tolist(),
+                                         ends[1:].tolist())):
+            yield Batch(rows[t], weights[t0 + t], slabs=(
+                cols[lo:hi], vals[lo:hi], local[lo:hi]), labels=labels[t])
 
 
 def vr_gradient(obj: SmoothObjective, snapshot: SnapshotState, batch: Batch,
@@ -216,11 +225,7 @@ def vr_gradient(obj: SmoothObjective, snapshot: SnapshotState, batch: Batch,
         return full_gradient(obj, x)
     xt = snapshot.x_tilde
     k = batch.indices.size
-    if batch.slabs is None:
-        cols, vals, rid = batch_slabs(obj.dataset, batch.indices)
-        bl = obj.dataset.labels[batch.indices]
-    else:
-        (cols, vals, rid), bl = batch.slabs, batch.labels
+    (cols, vals, rid), bl = batch.slabs, batch.labels
     zs = np.bincount(rid, weights=vals * x[cols], minlength=k)
     zts = np.bincount(rid, weights=vals * xt[cols], minlength=k)
     cw = LOSSES[obj.loss].coef_diff(zs, zts, bl) / batch.weights
@@ -247,50 +252,40 @@ def enumerate_estimator_stats(obj: SmoothObjective, snapshot: SnapshotState,
     """Enumerate the full support of the batch distribution exactly.
 
     Independent oracle for the estimator: outcome probabilities are computed
-    here from first principles, while each outcome's v reuses vr_gradient so
-    what is certified is the production estimator itself.
+    here from first principles, while each outcome's batch is gathered by
+    gather_batches and its v computed by vr_gradient, so what is certified
+    is the production estimator itself.
     """
     n, b = obj.n, scheme.b
     L = obj.component_lipschitz
-    outcomes: list[tuple[float, Batch]] = []
-    if scheme.kind is SchemeKind.UNIFORM_BATCH:
-        count = math.comb(n, b)
-        _check_support(count)
-        for S in itertools.combinations(range(n), b):
-            idx = np.array(S, dtype=np.int64)
-            outcomes.append((1.0 / count,
-                             Batch(idx, np.full(b, float(b)), full=(b == n))))
-    elif scheme.kind is SchemeKind.WEIGHTED_SINGLE:
-        _check_support(n)
-        q = L / L.sum()
-        for i in range(n):
-            outcomes.append((float(q[i]),
-                             Batch(np.array([i], dtype=np.int64),
-                                   np.array([n * 1 * q[i]]))))
-    elif scheme.kind is SchemeKind.WEIGHTED_BATCH:
-        count = math.comb(n, b)
-        _check_support(count)
-        subsets = list(itertools.combinations(range(n), b))
-        ls = np.array([L[list(S)].sum() for S in subsets])
-        q = ls / ls.sum()
-        for k, S in enumerate(subsets):
-            idx = np.array(S, dtype=np.int64)
-            w = count * b * q[k]
-            outcomes.append((float(q[k]), Batch(idx, np.full(b, w))))
-    elif scheme.kind is SchemeKind.WEIGHTED_REPLACEMENT:
+    kind = scheme.kind
+    # the outcomes as rows of (K, b) index and divisor arrays, with their
+    # probabilities as Python floats; weighted_single is replacement at b = 1
+    if kind in (SchemeKind.WEIGHTED_SINGLE, SchemeKind.WEIGHTED_REPLACEMENT):
         _check_support(n ** b)
         p = L / L.sum()
-        for tup in itertools.product(range(n), repeat=b):
-            idx = np.array(tup, dtype=np.int64)
-            prob = float(np.prod(p[idx]))
-            outcomes.append((prob, Batch(idx, n * b * p[idx])))
-    else:
-        raise ValueError(f"unknown scheme kind {scheme.kind}")
+        idx = np.array(list(itertools.product(range(n), repeat=b)),
+                       dtype=np.int64)
+        weights = n * b * p[idx]
+        probs = [float(np.prod(row)) for row in p[idx]]
+    else:  # uniform and weighted: the C(n, b) subsets
+        count = math.comb(n, b)
+        _check_support(count)
+        idx = np.array(list(itertools.combinations(range(n), b)),
+                       dtype=np.int64)
+        if kind is SchemeKind.UNIFORM_BATCH:
+            probs = [1.0 / count] * count
+            weights = np.full((count, b), float(b))
+        else:
+            ls = np.array([L[row].sum() for row in idx])
+            q = ls / ls.sum()
+            probs = q.tolist()
+            weights = np.repeat(count * b * q, b).reshape(count, b)
+    batches = gather_batches(obj.dataset, idx, weights, full=(
+        kind is SchemeKind.UNIFORM_BATCH and b == n))
     g = full_gradient(obj, x)
-    mean = np.zeros(obj.d)
-    second = 0.0
-    total_p = 0.0
-    for prob, batch in outcomes:
+    mean, second, total_p = np.zeros(obj.d), 0.0, 0.0
+    for prob, batch in zip(probs, batches):
         v = vr_gradient(obj, snapshot, batch, x)
         mean += prob * v
         dev = v - g

@@ -43,7 +43,7 @@ from .model import LOSSES, SmoothObjective, dense_batch_hessian, \
 from . import prox as prox_module
 from .prox import Regularizer, RegKind, ScaledProxProblem, prox, reg_value
 from .sampler import Sampler, SamplingScheme, SchemeKind, _floyd_sample, \
-    make_rng, make_snapshot, vr_gradient
+    check_seed, make_rng, make_snapshot, vr_gradient
 
 _DIVERGENCE_FACTOR = 1e3
 
@@ -69,8 +69,6 @@ class SolverConfig:
     skip_eps: float = 1e-8
     scheme: SchemeKind = SchemeKind.UNIFORM_BATCH
     seed: int = 0
-    divergence_factor: float = _DIVERGENCE_FACTOR
-    dense_limit: int = 256        # proximal Newton dense-Hessian guard
 
     def __post_init__(self):
         if self.epochs < 1 or self.m < 1 or self.metric_period < 1:
@@ -78,14 +76,13 @@ class SolverConfig:
         # written so that nan fails too
         if not 0.0 < self.eta < math.inf:
             raise ValueError("eta must be > 0 and finite")
-        if not self.divergence_factor > 0.0:
-            raise ValueError("divergence_factor must be > 0")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if not 0.0 <= self.skip_eps < math.inf:
             raise ValueError("skip_eps must be >= 0 and finite")
         if self.b < 1 or self.b_hessian < 1:
             raise ValueError("batch sizes must be >= 1")
+        check_seed(self.seed)
 
 
 @dataclass
@@ -130,12 +127,12 @@ def run(obj: SmoothObjective, reg: Regularizer, config: SolverConfig,
     raise ValueError(f"unknown solver kind {kind}")
 
 
-def _recorder(obj, reg, config, p_star):
+def _recorder(obj, reg, p_star):
     """(records, record): record(...) evaluates P(x), raises DivergenceError
     past the guard, and appends a TraceRecord."""
     t0 = time.perf_counter_ns()
     p_init = composite_value(obj, reg, np.zeros(obj.d))
-    limit = config.divergence_factor * max(abs(p_init), 1.0)
+    limit = _DIVERGENCE_FACTOR * max(abs(p_init), 1.0)
     records = []
 
     def record(epoch, iteration, x, grad_evals, rebuilds):
@@ -143,7 +140,7 @@ def _recorder(obj, reg, config, p_star):
         if not math.isfinite(p_val) or p_val > limit:
             raise DivergenceError(
                 f"objective {p_val:.6g} exceeded "
-                f"{config.divergence_factor:g} x initial {p_init:.6g}")
+                f"{_DIVERGENCE_FACTOR:g} x initial {p_init:.6g}")
         records.append(TraceRecord(
             epoch, iteration, p_val,
             None if p_star is None else p_val - p_star,
@@ -156,11 +153,11 @@ def _run_inner_loop(obj, reg, config, p_star):
     use_metric = config.kind is SolverKind.PROX_SQN
     d = obj.d
     x = np.zeros(d)
-    records, record = _recorder(obj, reg, config, p_star)
+    records, record = _recorder(obj, reg, p_star)
     scheme = SamplingScheme(config.scheme, config.b, config.seed)
     # independent streams for gradient batches and Hessian batches, so the
     # gradient stream is identical whether or not metric rebuilding runs
-    sampler = Sampler(obj, scheme, make_rng(config.seed))
+    sampler = Sampler(obj, scheme)
     hess_rng = make_rng(config.seed ^ 0x9E3779B97F4A7C15)
     Z = config.metric_period
     eta = config.eta
@@ -274,7 +271,7 @@ def _prox_gradient(obj, reg, eta, momentum=False, restart=False):
 
 def _run_full_gradient(obj, reg, config, p_star, momentum):
     """ProxGD (ISTA), or FISTA with momentum: one full gradient per epoch."""
-    records, record = _recorder(obj, reg, config, p_star)
+    records, record = _recorder(obj, reg, p_star)
     steps = _prox_gradient(obj, reg, config.eta, momentum)
     for k, x in zip(range(1, config.epochs + 1), steps):
         record(k, k, x, k * obj.n, 0)
@@ -286,16 +283,14 @@ def _run_prox_newton(obj, reg, config, p_star):
 
     The L1 subproblem is solved by an inner accelerated proximal-gradient
     loop on the quadratic model; with no regularizer the step is the exact
-    damped Newton solve.
+    damped Newton solve. d above the dense Hessian's limit raises ValueError.
     """
-    if obj.d > config.dense_limit:
-        raise ValueError(f"d = {obj.d} exceeds dense limit {config.dense_limit}")
     x = np.zeros(obj.d)
-    records, record = _recorder(obj, reg, config, p_star)
+    records, record = _recorder(obj, reg, p_star)
     all_rows = np.arange(obj.n, dtype=np.int64)
     for k in range(1, config.epochs + 1):
         g = full_gradient(obj, x)
-        H = dense_batch_hessian(obj, all_rows, x, config.dense_limit) / obj.n
+        H = dense_batch_hessian(obj, all_rows, x) / obj.n
         if reg.kind is RegKind.ZERO or reg.lambda1 == 0.0:
             x = x - config.eta * np.linalg.solve(H, g)
         else:
@@ -315,8 +310,7 @@ def _newton_subproblem(H, g, x, reg, eta, tol=1e-12, max_iter=20000):
     lam = reg.lambda1
     for _ in range(max_iter):
         grad = (H @ (z - c)) / eta
-        y_next = np.sign(z - grad / sigma) * np.maximum(
-            np.abs(z - grad / sigma) - lam / sigma, 0.0)
+        y_next = prox_module._soft_threshold(z - grad / sigma, lam / sigma)
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         z = y_next + ((t - 1.0) / t_next) * (y_next - y)
         if float(np.linalg.norm(y_next - y)) <= tol * (1.0 + float(np.linalg.norm(y))):

@@ -17,10 +17,11 @@ import numpy as np
 
 from .dataio import SyntheticSpec, generate_synthetic
 from .metric import CurvaturePair, apply_inverse, build_metric, \
-    dense_inverse, metric_as_splitting
+    metric_as_splitting
 from .model import LossKind, SmoothObjective, full_gradient
-from .prox import RegKind, Regularizer, ScaledProxProblem, kkt_residual, \
-    prox, scaled_prox, scaled_prox_info, subproblem_oracle
+from .oracles import dense_inverse, kkt_residual, subproblem_oracle
+from .prox import RegKind, Regularizer, ScaledProxProblem, prox, \
+    scaled_prox, scaled_prox_info
 from .sampler import SamplingScheme, SchemeKind, _floyd_block, \
     enumerate_estimator_stats, make_rng, make_snapshot
 from .solver import composite_value, reference_solution

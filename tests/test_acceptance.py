@@ -31,7 +31,6 @@ from proxsqn import (
     apply_inverse,
     build_metric,
     composite_value,
-    dense_inverse,
     enumerate_estimator_stats,
     full_gradient,
     generate_synthetic,
@@ -42,9 +41,9 @@ from proxsqn import (
     run,
     scaled_prox,
     scaled_prox_info,
-    subproblem_oracle,
 )
 from proxsqn.cli import main as cli_main
+from proxsqn.oracles import dense_inverse, subproblem_oracle
 
 
 @pytest.fixture

@@ -183,6 +183,24 @@ def test_run_nonfinite_dataset(runner, tmp_path):
     assert "line 2, column 8: non-finite value 'nan'" in res.stderr
 
 
+@pytest.mark.parametrize("args,edit,message", [
+    ([], ("synthetic.seed = 2", "synthetic.seed = -1"),
+     "invalid synthetic spec: seed -1 is outside [0, 2^64)"),
+    ([], ("solvers = sqn", "solver.sqn.seed = -1\nsolvers = sqn"),
+     "solver 'sqn': seed -1 is outside [0, 2^64)"),
+    (["--seed", str(2 ** 64)], ("", ""),
+     f"--seed: seed {2 ** 64} is outside [0, 2^64)"),
+])
+def test_run_seed_out_of_range_exit_1(runner, tmp_path, args, edit, message):
+    cfg = write_config(tmp_path, CONFIG.replace(*edit))
+    res = runner.invoke(main, args + ["--output", str(tmp_path / "out"),
+                                      "run", cfg])
+    assert exited_cleanly(res, 1)
+    assert message in res.stderr
+    assert len(res.stderr.splitlines()) == 1
+    assert "Traceback" not in res.output
+
+
 def test_run_invalid_objective_exit_1(runner, tmp_path):
     # an empty row has L_i = 0 without ridge, which the objective rejects
     data = tmp_path / "data.libsvm"

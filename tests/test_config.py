@@ -144,7 +144,7 @@ def test_parse_errors(text, fragment):
 
 @pytest.mark.parametrize("key", ["ridge", "lambda1", "ref_tol",
                                  "synthetic.noise", "solver.prox_gd.eta",
-                                 "solver.prox_gd.divergence_factor"])
+                                 "solver.prox_gd.skip_eps"])
 @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
 def test_parse_rejects_nonfinite_floats(key, raw):
     lines = ["loss = squared_error", "ridge = 0.1", "lambda1 = 0.0",

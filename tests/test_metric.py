@@ -10,11 +10,11 @@ from proxsqn import (
     SecantError,
     apply_inverse,
     build_metric,
-    dense_inverse,
     make_rng,
     metric_as_splitting,
     metric_spectrum_bounds,
 )
+from proxsqn.oracles import dense_inverse
 
 
 def random_spd(rng, d, lo, hi):

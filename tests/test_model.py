@@ -6,9 +6,6 @@ from proxsqn import (
     Dataset,
     LossKind,
     SmoothObjective,
-    batch_gradient,
-    batch_spectrum,
-    component_gradient,
     dense_batch_hessian,
     full_gradient,
     hessian_vec,
@@ -16,6 +13,7 @@ from proxsqn import (
     smooth_value,
 )
 from proxsqn.model import batch_margins, batch_slabs
+from proxsqn.oracles import batch_gradient, batch_spectrum, component_gradient
 
 
 def num_grad(f, x, h=1e-6):
@@ -155,7 +153,7 @@ def test_batch_slabs_and_margins(sq_small):
         assert np.array_equal(cols[rid == k], idx)
         assert np.array_equal(vals[rid == k], val)
     x = make_rng(14).standard_normal(ds.d)
-    z = batch_margins(ds, rows, x)
+    z = batch_margins(rows, x, (cols, vals, rid))
     dense = ds.to_csr().toarray()
     assert np.allclose(z, dense[rows] @ x, atol=1e-14)
 
@@ -220,10 +218,13 @@ def test_hessian_vec_gathers_its_batch_once(log_small, monkeypatch):
     assert np.array_equal(got, want)
 
 
-def test_dense_hessian_limit(sq_small):
-    with pytest.raises(ValueError, match="dense limit"):
-        dense_batch_hessian(sq_small, np.array([0]),
-                            np.zeros(sq_small.d), dense_limit=2)
+def test_dense_hessian_limit():
+    # d = 257 is one past the limit
+    ds = Dataset.from_rows([(np.array([0]), np.array([1.0]))],
+                           np.array([1.0]), 257)
+    obj = SmoothObjective.build(ds, LossKind.SQUARED_ERROR, ridge=0.1)
+    with pytest.raises(ValueError, match="d = 257 exceeds dense limit 256"):
+        dense_batch_hessian(obj, np.array([0]), np.zeros(obj.d))
 
 
 def test_batch_spectrum_bounds(sq_small):

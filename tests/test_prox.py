@@ -8,16 +8,14 @@ from proxsqn import (
     RegKind,
     Regularizer,
     ScaledProxProblem,
-    dense_metric,
-    kkt_residual,
     make_rng,
     reg_value,
     scaled_prox,
     scaled_prox_info,
-    subproblem_oracle,
 )
 
 import proxsqn.prox as P
+from proxsqn.oracles import dense_metric, kkt_residual, subproblem_oracle
 from proxsqn.prox import prox
 
 

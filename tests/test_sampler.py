@@ -9,42 +9,48 @@ from proxsqn import (
     Sampler,
     SamplingScheme,
     SchemeKind,
-    component_gradient,
     enumerate_estimator_stats,
     full_gradient,
     make_rng,
     make_snapshot,
     vr_gradient,
 )
-from proxsqn import Batch
 from proxsqn.model import batch_slabs
-from proxsqn.sampler import _floyd_block, _floyd_sample
+from proxsqn.oracles import component_gradient
+from proxsqn.sampler import _floyd_block, _floyd_sample, gather_batches
+
+
+def one_batch(obj, idx, weights, full=False):
+    """The batch of one row of indices and divisors, gathered the one way."""
+    return next(gather_batches(obj.dataset, np.asarray(idx)[None],
+                               np.asarray(weights, dtype=np.float64)[None],
+                               full))
 
 
 def draw_one_by_one(sampler):
     """One batch drawn the way the sampler drew one per step before it drew
     whole epochs: the oracle for draw_epoch."""
-    n, b = sampler.obj.n, sampler.scheme.b
+    obj, n, b = sampler.obj, sampler.obj.n, sampler.scheme.b
     kind = sampler.scheme.kind
     if kind is SchemeKind.UNIFORM_BATCH:
         idx = _floyd_sample(sampler.rng, n, b)
-        return Batch(idx, np.full(b, float(b)), full=(b == n))
+        return one_batch(obj, idx, np.full(b, float(b)), full=(b == n))
     if kind is SchemeKind.WEIGHTED_SINGLE:
         i = int(np.searchsorted(sampler._cum, sampler.rng.random(),
                                 side="right"))
         i = min(i, n - 1)
-        return Batch(np.array([i], dtype=np.int64),
-                     np.array([n * b * sampler._p[i]]))
+        return one_batch(obj, np.array([i], dtype=np.int64),
+                         np.array([n * b * sampler._p[i]]))
     if kind is SchemeKind.WEIGHTED_BATCH:
         k = int(np.searchsorted(sampler._cum, sampler.rng.random(),
                                 side="right"))
         k = min(k, len(sampler._subsets) - 1)
         idx = sampler._subsets[k]
         w = math.comb(n, b) * b * sampler._q[k]
-        return Batch(idx, np.full(b, w))
+        return one_batch(obj, idx, np.full(b, w))
     ks = np.searchsorted(sampler._cum, sampler.rng.random(b), side="right")
     ks = np.minimum(ks, n - 1).astype(np.int64)
-    return Batch(ks, n * b * sampler._p[ks])
+    return one_batch(obj, ks, n * b * sampler._p[ks])
 
 
 # ---------------------------------------------------------------- floyd sampling
@@ -85,6 +91,13 @@ def test_floyd_sample_uniform_frequencies():
     p = 1.0 / 10.0
     sigma = math.sqrt(draws * p * (1 - p))
     assert max(abs(c - draws * p) for c in counts.values()) <= 4 * sigma
+
+
+def test_make_rng_takes_64_bit_seeds_only():
+    assert make_rng(2 ** 64 - 1).random() == make_rng(2 ** 64 - 1).random()
+    for bad in (-1, 2 ** 64):
+        with pytest.raises(ValueError, match=r"outside \[0, 2\^64\)"):
+            make_rng(bad)
 
 
 def test_sampler_determinism(sq_small):
@@ -133,7 +146,7 @@ def test_draw_epoch_is_m_draws(fixture, kind, b, m, request):
         assert np.array_equal(batch.indices, ref.indices)
         assert np.array_equal(batch.weights, ref.weights)
         assert batch.full == ref.full
-        # the estimator gives the same bits with or without the carried rows
+        # the same bits from rows gathered in an epoch block or one batch alone
         assert np.array_equal(vr_gradient(obj, snap, batch, x),
                               vr_gradient(obj, snap, ref, x))
         if batch.full:
@@ -248,7 +261,7 @@ def test_vr_gradient_formula(sq_small, log_small):
         snap = make_snapshot(obj, xt)
         idx = np.array([1, 3, 4])
         w = np.array([2.0, 3.0, 5.0])
-        v = vr_gradient(obj, snap, Batch(idx, w), x)
+        v = vr_gradient(obj, snap, one_batch(obj, idx, w), x)
         want = snap.full_grad.copy()
         for i, wi in zip(idx, w):
             want += (component_gradient(obj, int(i), x)
@@ -260,8 +273,8 @@ def test_vr_gradient_at_snapshot_is_exact(sq_small):
     rng = make_rng(44)
     x = rng.standard_normal(sq_small.d)
     snap = make_snapshot(sq_small, x)
-    v = vr_gradient(sq_small, snap, Batch(np.array([0, 2]),
-                                          np.array([2.0, 2.0])), x)
+    v = vr_gradient(sq_small, snap, one_batch(sq_small, [0, 2], [2.0, 2.0]),
+                    x)
     assert np.array_equal(v, snap.full_grad)  # bitwise
 
 
@@ -271,8 +284,8 @@ def test_vr_gradient_full_batch_is_full_gradient(sq_small):
     xt = rng.standard_normal(sq_small.d)
     snap = make_snapshot(sq_small, xt)
     n = sq_small.n
-    v = vr_gradient(sq_small, snap,
-                    Batch(np.arange(n), np.full(n, float(n)), full=True), x)
+    v = vr_gradient(sq_small, snap, one_batch(sq_small, np.arange(n),
+                                              np.full(n, float(n)), True), x)
     assert np.array_equal(v, full_gradient(sq_small, x))  # bitwise
 
 

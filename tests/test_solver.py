@@ -63,11 +63,6 @@ def test_config_rejects_nan_step():
             sqn_config(eta=eta)
 
 
-def test_config_rejects_nan_divergence_factor():
-    with pytest.raises(ValueError, match="divergence_factor"):
-        sqn_config(divergence_factor=math.nan)
-
-
 def test_config_rejects_bad_skip_eps():
     for bad in (math.nan, math.inf, -1.0):
         with pytest.raises(ValueError, match="skip_eps"):
@@ -447,13 +442,14 @@ def test_prox_newton_l1_fixed_point(lasso_reg):
 
 
 def test_prox_newton_dense_limit(lasso_reg):
-    spec = SyntheticSpec(n=10, d=5, density=1.0, seed=0)
+    # d = 257 is one past the dense Hessian's limit
+    spec = SyntheticSpec(n=10, d=257, density=0.01, seed=0)
     ds, _ = generate_synthetic(spec)
     obj = SmoothObjective.build(ds, LossKind.SQUARED_ERROR, ridge=0.1)
-    with pytest.raises(ValueError, match="dense limit"):
+    with pytest.raises(ValueError, match="d = 257 exceeds dense limit 256"):
         run(obj, lasso_reg,
             SolverConfig(kind=SolverKind.PROX_NEWTON_FULL, epochs=1,
-                         eta=1.0, dense_limit=3))
+                         eta=1.0))
 
 
 # ---------------------------------------------------------------- rate planning

@@ -7,16 +7,22 @@ The first form runs every solver kind under every sampling scheme, for both
 losses and lambda1 in {0, 0.02}, on a small synthetic instance; then ProxSQN
 and ProxSVRG on a wider sparse one (d=400, where the scaled prox has many
 breakpoints, lambda1 in {0, 0.002}); then `proxsqn run` on one config per
-loss and lambda1 in {0, 0.02}, with all five solvers. It
-prints one line per run: its name, a SHA-256 hash and its per-epoch
-objectives. A solver run's hash covers every TraceRecord field except
-elapsed_ns, the final x bytes and the RunResult counters; a CLI run's
-covers its exit code and each CSV with the elapsed_ns column cut off. A run
-that raises hashes the exception's type and message instead.
+loss and lambda1 in {0, 0.02}, with all five solvers; then each property
+check of `run_checks("fast")`; then the exact estimator moments of
+`enumerate_estimator_stats` for every sampling scheme, on a tiny instance
+per loss. It prints one line per run: its name, a SHA-256 hash and its
+per-epoch objectives ("-" when it has none). A solver run's hash covers
+every TraceRecord field except elapsed_ns, the final x bytes and the
+RunResult counters; a CLI run's covers its exit code and each CSV with the
+elapsed_ns column cut off. A run that raises hashes the exception's type
+and message instead. A check's hash covers its name, pass flag, margin repr
+and detail; an enumeration's covers the mean's bytes and the repr of the
+mean squared deviation.
 
 --compare reads two such outputs. It names the runs whose hashes differ and,
-for each, the largest objective difference relative to max(1, |P|); it
-exits 1 when the run names differ or a difference exceeds --tol.
+for each, the largest objective difference relative to max(1, |P|), or inf
+for a run without objectives; it exits 1 when the run names differ or a
+difference exceeds --tol.
 """
 
 from __future__ import annotations
@@ -152,9 +158,42 @@ def cli_runs(proxsqn):
                            h.hexdigest(), objs)
 
 
+def check_runs(proxsqn):
+    """(name, hash, []) for each property check of the fast level."""
+    for res in proxsqn.run_checks("fast"):
+        h = hashlib.sha256(repr((res.name, res.passed, repr(res.margin),
+                                 res.detail)).encode())
+        yield f"verify/fast/{res.name}", h.hexdigest(), []
+
+
+def enumeration_runs(proxsqn):
+    """(name, hash, []) for the exact estimator moments of each scheme;
+    b = 3 on n = 7 gathers the outcomes in blocks with a short last one,
+    and uniform b = n takes the full-batch route."""
+    S = proxsqn.SchemeKind
+    cases = [(S.UNIFORM_BATCH, 2), (S.UNIFORM_BATCH, 7),
+             (S.WEIGHTED_SINGLE, 1), (S.WEIGHTED_BATCH, 3),
+             (S.WEIGHTED_REPLACEMENT, 3)]
+    for loss in proxsqn.LossKind:
+        obj = _instance(proxsqn, loss, dict(n=7, d=5, density=0.6,
+                                            condition=4.0, noise=0.1,
+                                            seed=8))
+        rng = proxsqn.make_rng(9)
+        x, xt = rng.standard_normal(obj.d), rng.standard_normal(obj.d)
+        snapshot = proxsqn.make_snapshot(obj, xt)
+        for kind, b in cases:
+            stats = proxsqn.enumerate_estimator_stats(
+                obj, snapshot, proxsqn.SamplingScheme(kind, b), x)
+            h = hashlib.sha256(stats.mean.tobytes())
+            h.update(repr(stats.mean_sq_deviation).encode())
+            yield f"enum/{loss.value}/{kind.value}/b={b}", h.hexdigest(), []
+
+
 def emit():
     import proxsqn
-    for name, digest, objs in (*solver_runs(proxsqn), *cli_runs(proxsqn)):
+    for name, digest, objs in (*solver_runs(proxsqn), *cli_runs(proxsqn),
+                               *check_runs(proxsqn),
+                               *enumeration_runs(proxsqn)):
         print(name, digest, ",".join(repr(p) for p in objs) or "-",
               sep="\t", flush=True)
 
@@ -180,7 +219,7 @@ def compare(before_path, after_path, tol) -> int:
         digest2, objs2 = after[name]
         if digest == digest2:
             continue
-        if len(objs) != len(objs2):
+        if len(objs) != len(objs2) or not objs:
             rel = float("inf")
         else:
             rel = max((abs(a - b) / max(1.0, abs(a))
