@@ -6,11 +6,12 @@ Subcommands:
   verify [--level]      run the property-check suite (exit 4 on failure)
   gen <spec> -o <path>  generate a synthetic dataset in LIBSVM format
 
-Exit codes for run: 0 success, 1 config/input error (nan and inf included)
-or a solver rejecting its settings, 2 solver divergence, 3 output I/O
-failure; other solvers' traces are still written past a per-solver error
-or divergence. CSVs are written to `<name>.partial` and renamed into place
-when complete, so an interrupted run never leaves a finished-looking file.
+Exit codes for run: 0 success, 1 config/input error (nan, inf and bytes
+that are not UTF-8 included) or a solver rejecting its settings, 2 solver
+divergence, 3 output I/O failure; other solvers' traces are still written
+past a per-solver error or divergence. CSVs are written to `<name>.partial`
+and renamed into place when complete, so an interrupted run never leaves a
+finished-looking file.
 
 Traces are deterministic for a fixed config: reruns produce byte-identical
 CSVs except the elapsed_ns column. --seed overrides every solver's seed
@@ -58,12 +59,31 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
-def _load_config(path: str, require_solvers: bool = True) -> ExperimentConfig:
+def _read_text(path: str, what: str) -> str:
+    """The text of a UTF-8 file; exit 1 when it cannot be read, or at the
+    first byte that is not UTF-8, found in the file's bytes and placed by
+    line and column as the parsers count them."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
-        _fail(1, f"cannot read config {path}: {exc}")
+        _fail(1, f"cannot read {what} {path}: {exc}")
+    except UnicodeDecodeError:
+        pass
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")  # rewritten since the first read
+    except UnicodeDecodeError as exc:
+        at = exc.start
+    # one stand-in character for the byte ends the last line at its column
+    lines = (data[:at].decode("utf-8") + "?").splitlines()
+    _fail(1, f"{path}: line {len(lines)}, column {len(lines[-1])}: "
+             f"not valid UTF-8 (byte 0x{data[at]:02x})")
+
+
+def _load_config(path: str, require_solvers: bool = True) -> ExperimentConfig:
+    text = _read_text(path, "config")
     try:
         return parse_config(text, require_solvers=require_solvers)
     except ConfigError as exc:
@@ -74,11 +94,7 @@ def _materialize(cfg: ExperimentConfig):
     if cfg.synthetic is not None:
         ds, _ = generate_synthetic(cfg.synthetic)
         return ds
-    try:
-        with open(cfg.dataset, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        _fail(1, f"cannot read dataset {cfg.dataset}: {exc}")
+    text = _read_text(cfg.dataset, "dataset")
     try:
         return parse_libsvm(
             text, binary_labels=LOSSES[cfg.loss].binary_labels)

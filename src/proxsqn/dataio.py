@@ -4,6 +4,11 @@ LIBSVM format: one record per line, `<label> <idx>:<val> <idx>:<val> ...`
 with 1-based, strictly increasing indices. A label with no features is a
 valid empty row. Internally indices are 0-based.
 
+Parsing runs in bulk, on blocks of _BLOCK_LINES lines: the block's tokens
+are split, joined and converted with int() and float() in a few passes, and
+numpy checks the indices. Only a block that fails those checks is scanned
+token by token, to raise the error at its 1-based line and column.
+
 Label handling is loud and simple: with binary_labels=True every parsed
 label <= 0 becomes -1.0 and every label > 0 becomes +1.0 (corpora disagree
 between {0,1} and {-1,+1} conventions); otherwise labels pass through raw.
@@ -22,6 +27,7 @@ from .model import LOSSES, Dataset, LossKind
 from .sampler import _floyd_sample, check_seed, make_rng
 
 _TOKEN = re.compile(r"\S+")
+_BLOCK_LINES = 1000
 
 
 def parse_libsvm(text: str, d: int | None = None,
@@ -31,23 +37,93 @@ def parse_libsvm(text: str, d: int | None = None,
     d defaults to the largest index seen; pass it explicitly when trailing
     all-zero columns matter. Raises LibsvmFormatError with 1-based line and
     column positions on malformed input, nan and inf included; blank lines
-    are skipped.
+    are skipped. A format error anywhere outranks a nan or inf anywhere.
     """
-    rows = []
-    labels = []
-    max_index = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    blocks = []
+    # one block at least, so that empty text reaches the no-records error
+    for start in range(0, max(len(lines), 1), _BLOCK_LINES):
+        block = lines[start:start + _BLOCK_LINES]
+        parsed = _parse_block(block)
+        if parsed is None:
+            _raise_format_error(block, start + 1)
+        blocks.append(parsed)
+    labels, row_nnz, indices, values = (np.concatenate(a) for a in zip(*blocks))
+    if not labels.size:
+        raise LibsvmFormatError(1, 1, "no records in input")
+    max_index = int(indices.max()) + 1 if indices.size else 0
+    if d is None:
+        d = max(max_index, 1)
+    elif d < max_index:
+        raise ValueError(f"d = {d} smaller than largest index {max_index}")
+    indptr = np.zeros(labels.size + 1, np.int64)
+    np.cumsum(row_nnz, out=indptr[1:])
+    ds = Dataset(indptr, indices, values,
+                 np.where(labels <= 0.0, -1.0, 1.0) if binary_labels
+                 else labels, d)
+    # one vectorized pass; the position is searched only on failure
+    if not (np.isfinite(labels).all() and np.isfinite(values).all()):
+        raise _nonfinite_error(text)
+    return ds
+
+
+def _parse_block(lines: list[str]):
+    """(labels, nonzeros per row, 0-based indices, values) of the records
+    in lines, parsed in bulk; None when any token is malformed.
+
+    Feature tokens are joined, their colons become spaces, and one split
+    yields idx, val, idx, val, ... A token with c colons gives at most c + 1
+    pieces, and c + 1 when no part is empty. So k tokens that hold k colons
+    and give 2k pieces have no empty part, and a colon in every token then
+    leaves one in each: every token is idx:val.
+    """
+    labels, feats, row_nnz = [], [], []
+    for line in lines:
+        toks = line.split()
+        if toks:
+            labels.append(toks[0])
+            row_nnz.append(len(toks) - 1)
+            feats += toks[1:]
+    k = len(feats)
+    joined = " ".join(feats)
+    pieces = joined.replace(":", " ").split()
+    if not (len(pieces) == 2 * k and joined.count(":") == k
+            and all(":" in tok for tok in feats)):
+        return None
+    try:
+        lab = np.fromiter(map(float, labels), np.float64, len(labels))
+        idx = np.fromiter(map(int, pieces[::2]), np.uint64, k)
+        val = np.fromiter(map(float, pieces[1::2]), np.float64, k)
+    except (ValueError, OverflowError):
+        return None
+    # strictly increasing within each row (a rise that ends at a row's
+    # first entry is exempt), and 1-based with the 0-based index in int64:
+    # index 0 wraps to 2^64 - 1
+    row_nnz = np.asarray(row_nnz, np.int64)
+    rise = idx[1:] > idx[:-1]
+    starts = np.cumsum(row_nnz)[:-1]
+    rise[starts[(starts > 0) & (starts < k)] - 1] = True
+    idx -= np.uint64(1)
+    if not (rise.all() and (idx < np.uint64(2 ** 63)).all()):
+        return None
+    return lab, row_nnz, idx.view(np.int64), val
+
+
+def _raise_format_error(lines: list[str], first_lineno: int):
+    """Raise the error of the first malformed token of lines, numbered from
+    first_lineno, by the per-token scan; it runs only on a block that
+    failed its bulk checks, and such a block always holds an error."""
+    for lineno, line in enumerate(lines, start=first_lineno):
         tokens = _TOKEN.finditer(line)
         first = next(tokens, None)
         if first is None:
             continue
         try:
-            label = float(first.group())
+            float(first.group())
         except ValueError:
             raise LibsvmFormatError(lineno, first.start() + 1,
                                     f"invalid label {first.group()!r}") from None
         idxs = []
-        vals = []
         prev = 0
         for tok in tokens:
             col = tok.start() + 1
@@ -69,29 +145,15 @@ def parse_libsvm(text: str, d: int | None = None,
                     lineno, col,
                     f"index {idx} not strictly increasing after {prev}")
             try:
-                val = float(tail)
+                float(tail)
             except ValueError:
                 raise LibsvmFormatError(lineno, col + len(head) + 1,
                                         f"invalid value {tail!r}") from None
             idxs.append(idx - 1)
-            vals.append(val)
             prev = idx
-        rows.append((np.asarray(idxs, np.int64), np.asarray(vals, np.float64)))
-        labels.append(label)
-        max_index = max(max_index, prev)
-    if not rows:
-        raise LibsvmFormatError(1, 1, "no records in input")
-    if d is None:
-        d = max(max_index, 1)
-    elif d < max_index:
-        raise ValueError(f"d = {d} smaller than largest index {max_index}")
-    lab = np.asarray(labels, np.float64)
-    ds = Dataset.from_rows(
-        rows, np.where(lab <= 0.0, -1.0, 1.0) if binary_labels else lab, d)
-    # one vectorized pass; the position is searched only on failure
-    if not (np.isfinite(lab).all() and np.isfinite(ds.values).all()):
-        raise _nonfinite_error(text)
-    return ds
+        # a 0-based index past int64 raises OverflowError at its line's end
+        np.asarray(idxs, np.int64)
+    raise AssertionError("a block failed its bulk checks but holds no error")
 
 
 def _nonfinite_error(text: str) -> LibsvmFormatError:

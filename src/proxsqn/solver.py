@@ -12,14 +12,16 @@ ProxSQN epoch structure (epochs s = 1..S, inner iterations j = 0..m-1, global
     scaled prox step x+ = prox_{eta R}^{H}(x - eta H^{-1} v) afterwards;
   * every Z global iterations the trailing window of Z inner points is
     averaged; the first trigger only seeds the anchor, each later trigger
-    forms s_r = xhat_r - xhat_{r-1}, draws a uniform Hessian batch T_r of
-    size b_H, sets y_r = (sum-batch Hessian at xhat_r) s_r, and rebuilds the
-    metric, so the first metric exists exactly when warmup ends at g = 2Z;
+    forms s_r = xhat_r - xhat_{r-1}, takes the next uniform Hessian batch
+    T_r of size b_H (drawn ahead in blocks), sets y_r = (sum-batch Hessian
+    at xhat_r) s_r, and rebuilds the metric, so the first metric exists
+    exactly when warmup ends at g = 2Z;
   * the epoch ends with x reset to the inner-iterate average xt_s, which is
     also the traced point.
 
-ProxSVRG is the same loop without the metric. Hessian batches come from a
-stream of their own, so ProxSQN and ProxSVRG draw the same gradient batches.
+ProxSVRG is the same loop without the metric, and keeps no window. Hessian
+batches come from a stream of their own, so ProxSQN and ProxSVRG draw the
+same gradient batches.
 ProxGD (ISTA), FISTA and reference_solution share one full-gradient
 proximal-gradient iteration, with FISTA momentum and function-value restart
 as internal switches; a dense-Hessian proximal Newton is the last baseline.
@@ -42,7 +44,7 @@ from .model import LOSSES, SmoothObjective, dense_batch_hessian, \
     full_gradient, hessian_vec, smooth_value
 from . import prox as prox_module
 from .prox import Regularizer, RegKind, ScaledProxProblem, prox, reg_value
-from .sampler import Sampler, SamplingScheme, SchemeKind, _floyd_sample, \
+from .sampler import Sampler, SamplingScheme, SchemeKind, _floyd_block, \
     check_seed, make_rng, make_snapshot, vr_gradient
 
 _DIVERGENCE_FACTOR = 1e3
@@ -158,8 +160,10 @@ def _run_inner_loop(obj, reg, config, p_star):
     # independent streams for gradient batches and Hessian batches, so the
     # gradient stream is identical whether or not metric rebuilding runs
     sampler = Sampler(obj, scheme)
-    hess_rng = make_rng(config.seed ^ 0x9E3779B97F4A7C15)
     Z = config.metric_period
+    hess_batches = _hessian_batches(
+        make_rng(config.seed ^ 0x9E3779B97F4A7C15), obj.n,
+        min(config.b_hessian, obj.n), min(config.m // Z + 1, 256))
     eta = config.eta
     window = np.zeros((Z, d))
     xhat_prev: np.ndarray | None = None
@@ -185,7 +189,8 @@ def _run_inner_loop(obj, reg, config, p_star):
         batches = sampler.draw_epoch(config.m)
         for j, batch in enumerate(batches):
             g = (s - 1) * config.m + j + 1
-            window[(g - 1) % Z] = x
+            if use_metric:
+                window[(g - 1) % Z] = x
             v = vr_gradient(obj, snapshot, batch, x)
             grad_evals += obj.n if batch.full else 2 * batch.indices.size
             warm = (g - 1) < 2 * Z
@@ -221,9 +226,7 @@ def _run_inner_loop(obj, reg, config, p_star):
                     if sr_norm <= 1e-14 * (1.0 + xhat_norm):
                         anomalies += 1
                     else:
-                        T = _floyd_sample(hess_rng, obj.n,
-                                          min(config.b_hessian, obj.n))
-                        yr = hessian_vec(obj, T, xhat, sr)
+                        yr = hessian_vec(obj, next(hess_batches), xhat, sr)
                         try:
                             metric = build_metric(CurvaturePair(sr, yr),
                                                   config.alpha, config.skip_eps)
@@ -245,6 +248,15 @@ def _run_inner_loop(obj, reg, config, p_star):
         record(s, s * config.m, x, grad_evals, rebuilds)
     return RunResult(x, records, grad_evals, rebuilds, anomalies,
                      scaled_calls, first_scaled)
+
+
+def _hessian_batches(rng, n, b, rows):
+    """Uniform size-b subsets of range(n), one per next(), drawn `rows` at
+    a time by _floyd_block: the words of one _floyd_sample call each. The
+    stream is one run's own, and an anchor that skips its rebuild takes no
+    subset, so drawing ahead moves no subset of any rebuild."""
+    while True:
+        yield from _floyd_block(rng, n, b, rows)
 
 
 def _prox_gradient(obj, reg, eta, momentum=False, restart=False):

@@ -183,6 +183,35 @@ def test_run_nonfinite_dataset(runner, tmp_path):
     assert "line 2, column 8: non-finite value 'nan'" in res.stderr
 
 
+def test_run_non_utf8_dataset(runner, tmp_path):
+    bad = tmp_path / "bad.libsvm"
+    bad.write_bytes(b"1 1:2.0\n-1 2:\xff3.0\n")
+    cfg = write_config(
+        tmp_path,
+        "loss = squared_error\nridge = 0.1\nlambda1 = 0.0\n"
+        f"dataset = {bad}\nsolvers = prox_gd\n")
+    res = runner.invoke(main, ["run", cfg])
+    assert exited_cleanly(res, 1)
+    assert res.stderr == (f"error: {bad}: line 2, column 6: "
+                          "not valid UTF-8 (byte 0xff)\n")
+
+
+@pytest.mark.parametrize("command", ["run", "gen"])
+def test_non_utf8_config(runner, tmp_path, command):
+    # lines as the config parser counts them (CRLF is one break), columns
+    # in characters (the two-byte e-acute is one)
+    path = tmp_path / "exp.cfg"
+    path.write_bytes(CONFIG.encode().replace(
+        b"loss = squared_error\nridge = 0.1\n",
+        b"loss = squared_error\r\nridge = \xc3\xa9\xe9\n"))
+    args = [str(path), "-o", str(tmp_path / "x.libsvm")] \
+        if command == "gen" else [str(path)]
+    res = runner.invoke(main, [command, *args])
+    assert exited_cleanly(res, 1)
+    assert res.stderr == (f"error: {path}: line 2, column 10: "
+                          "not valid UTF-8 (byte 0xe9)\n")
+
+
 @pytest.mark.parametrize("args,edit,message", [
     ([], ("synthetic.seed = 2", "synthetic.seed = -1"),
      "invalid synthetic spec: seed -1 is outside [0, 2^64)"),

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from libsvm_oracle import parse_libsvm as oracle_parse
+from proxsqn import dataio
 from proxsqn import (
     Dataset,
     LibsvmFormatError,
@@ -93,6 +95,112 @@ def test_parse_error_column_counts_leading_spaces():
         parse_libsvm("   bad 1:2.0\n")
     assert err.value.line == 1
     assert err.value.column == 4
+
+
+# ------------------------------------------- bulk parser against the oracle
+
+_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+           "\x85", "\u2028", "\u2029"]
+# str.split and the oracle's \\S+ both split at these, and none breaks a line
+_SPACES = [" ", "  ", "\t", "\x1f", "\xa0", "\u2003", "\u3000"]
+_LABELS = ["1", "-1", "+1", "0", "-0.0", "2.5", "1.", ".5", "1_0", "\u0661"]
+_VALUES = ["0.5", "-2", "+1", "1_0", "1.", ".5", "1e-300", "-0.0", "7"]
+_NONFINITE = ["nan", "inf", "-inf", "1e400", "NaN"]
+_BAD_LABELS = ["abc", "1:2", "--1", "1e", "1\u200b"]
+
+
+def _bad_token(rng, idx, val):
+    """A malformed feature token, or one index out of order or range."""
+    return str(rng.choice([
+        str(idx), f":{val}", f"{idx}:", ":", "::", "a:b:c", f"{idx}:2:3",
+        f"{idx}::{val}", f"0:{val}", f"-{idx}:{val}", f"{max(idx - 2, 1)}:{val}",
+        f"x:{val}", f"{idx}:zz", f"{idx}\u200b:{val}", f"{idx}:{val}:"]))
+
+
+def _fuzz_text(rng):
+    """A small LIBSVM-like text; clean with probability 0.4, otherwise with
+    nonfinite numbers and malformed tokens mixed in."""
+    dirt = 0.0 if rng.random() < 0.4 else float(rng.choice([0.05, 0.15, 0.4]))
+    lines = []
+    for _ in range(int(rng.integers(0, 8))):
+        r = rng.random()
+        if r < 0.1:
+            lines.append("")
+            continue
+        if r < 0.15:
+            lines.append("".join(rng.choice(_SPACES, int(rng.integers(1, 3)))))
+            continue
+        pool = _BAD_LABELS if rng.random() < dirt / 3 else (
+            _NONFINITE if rng.random() < dirt / 3 else _LABELS)
+        toks = [str(rng.choice(pool))]
+        idx = 0
+        for _ in range(int(rng.integers(0, 5))):
+            idx += int(rng.integers(1, 4))
+            val = str(rng.choice(_NONFINITE if rng.random() < dirt / 3
+                                 else _VALUES))
+            toks.append(_bad_token(rng, idx, val) if rng.random() < dirt / 2
+                        else f"{idx}:{val}")
+        seps = rng.choice(_SPACES, len(toks) + 1)
+        line = "".join(str(sep) + tok for sep, tok in zip(seps, toks))
+        lines.append(line.lstrip() if rng.random() < 0.5 else line
+                     + (str(seps[-1]) if rng.random() < 0.3 else ""))
+    breaks = rng.choice(_BREAKS, len(lines))
+    return "".join(line + str(br) for line, br in zip(lines, breaks))
+
+
+# texts that the random ones hit only by chance
+_FIXED_TEXTS = [
+    "1 1:2:3 4\n",             # a doubled colon and a missing one balance
+    "1 1:2 3:4:5 6\n",
+    "nan 1:2\n1 x:1\n",        # a format error outranks an earlier nan
+    "1 1:nan 2\n",
+    "1 1:inf\n1 2:1 2:3\n",
+    "1\n\n-1\r\n+1 3:1.\n",
+    # 0-based indices past int64 raise OverflowError; 2^63 is the last one
+    "1 99999999999999999999:1\n",
+    "1 9223372036854775809:1\n",
+    "1 18446744073709551617:1 2:x\n",
+    "1 -99999999999999999999:1\n",
+    "1 2:1 9223372036854775808:1\n",
+]
+
+
+def _outcome(parse, text, **kw):
+    try:
+        ds = parse(text, **kw)
+    except Exception as exc:  # the type and message are compared
+        return type(exc), str(exc)
+    return (ds.d, ds.indptr.dtype, ds.indptr.tolist(), ds.indices.dtype,
+            ds.indices.tolist(), ds.values.view(np.uint64).tolist(),
+            ds.labels.view(np.uint64).tolist())
+
+
+@pytest.mark.parametrize("block_lines", [2, dataio._BLOCK_LINES])
+@pytest.mark.parametrize("binary_labels", [False, True])
+@pytest.mark.parametrize("with_d", [False, True])
+def test_parse_matches_line_oracle(monkeypatch, block_lines, binary_labels,
+                                   with_d):
+    # two-line blocks put records, errors and nans on both sides of block
+    # boundaries; d = 1 or 3 is often below the largest index
+    monkeypatch.setattr(dataio, "_BLOCK_LINES", block_lines)
+    rng = np.random.default_rng(2024)
+    texts = _FIXED_TEXTS + [_fuzz_text(rng) for _ in range(2000)]
+    kinds = set()
+    for text in texts:
+        kw = dict(binary_labels=binary_labels,
+                  d=int(rng.choice([1, 3, 20])) if with_d else None)
+        want = _outcome(oracle_parse, text, **kw)
+        assert _outcome(parse_libsvm, text, **kw) == want, (text, kw)
+        if isinstance(want[0], int):
+            kinds.add("dataset")
+        elif want[0] is LibsvmFormatError:
+            kinds.add(want[1].split(": ", 1)[1].split(" ")[0])
+        else:
+            kinds.add(want[0].__name__)
+    # the texts reach every outcome of the parser
+    assert kinds >= {"dataset", "invalid", "expected", "index", "no",
+                     "non-finite", "OverflowError"}
+    assert ("ValueError" in kinds) == with_d
 
 
 # ------------------------------------------------------------- serialization

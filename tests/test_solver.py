@@ -159,6 +159,43 @@ def test_sqn_draws_the_svrg_gradient_batches(midsize, lasso_reg, monkeypatch):
     assert draws[0] == draws[1]
 
 
+def test_hessian_batches_are_the_per_rebuild_draws(midsize, lasso_reg,
+                                                   monkeypatch):
+    # Hessian batches are drawn ahead in blocks of m // Z + 1 rows, and an
+    # anchor that skips its rebuild takes none: the batches are those of
+    # one _floyd_sample call per drawn anchor on a fresh generator. The
+    # plain prox pins x at 0 for the first 4Z steps, so the anchors at 2Z,
+    # 3Z and 4Z see s_r = 0 and skip.
+    import proxsqn.solver as solver_module
+    from proxsqn.sampler import _floyd_sample, make_rng
+    Z, seed = 5, 13
+    real_prox, steps = solver_module.prox, []
+
+    def pinned_prox(reg, v, eta, out=None):
+        steps.append(None)
+        if len(steps) <= 4 * Z:
+            out[:] = 0.0
+            return out
+        return real_prox(reg, v, eta, out=out)
+
+    drawn = []
+    real_hessian_vec = solver_module.hessian_vec
+
+    def recording_hessian_vec(obj, batch, x, s):
+        drawn.append(np.array(batch))
+        return real_hessian_vec(obj, batch, x, s)
+
+    monkeypatch.setattr(solver_module, "prox", pinned_prox)
+    monkeypatch.setattr(solver_module, "hessian_vec", recording_hessian_vec)
+    res = run(midsize, lasso_reg, sqn_config(epochs=4, m=40, b_hessian=12,
+                                             metric_period=Z, seed=seed))
+    assert res.anomalies >= 3
+    assert len(drawn) == 4 * 40 // Z - 1 - 3  # 28, from blocks of 9 rows
+    fresh = make_rng(seed ^ 0x9E3779B97F4A7C15)
+    for T in drawn:
+        assert np.array_equal(T, _floyd_sample(fresh, midsize.n, 12))
+
+
 def test_prox_gd_closed_form_quadratic():
     # least squares with diagonal design: x_{k+1} = (I - eta Q) x_k + eta c
     rows = [(np.array([j]), np.array([v]))

@@ -10,14 +10,16 @@ breakpoints, lambda1 in {0, 0.002}); then `proxsqn run` on one config per
 loss and lambda1 in {0, 0.02}, with all five solvers; then each property
 check of `run_checks("fast")`; then the exact estimator moments of
 `enumerate_estimator_stats` for every sampling scheme, on a tiny instance
-per loss. It prints one line per run: its name, a SHA-256 hash and its
+per loss; then `parse_libsvm` on a fixed corpus of valid and malformed
+texts, with and without binary_labels and d. It prints one line per run: its name, a SHA-256 hash and its
 per-epoch objectives ("-" when it has none). A solver run's hash covers
 every TraceRecord field except elapsed_ns, the final x bytes and the
 RunResult counters; a CLI run's covers its exit code and each CSV with the
 elapsed_ns column cut off. A run that raises hashes the exception's type
 and message instead. A check's hash covers its name, pass flag, margin repr
 and detail; an enumeration's covers the mean's bytes and the repr of the
-mean squared deviation.
+mean squared deviation; a parse's covers d and the bytes of indptr,
+indices, values and labels, or the exception's type and message.
 
 --compare reads two such outputs. It names the runs whose hashes differ and,
 for each, the largest objective difference relative to max(1, |P|), or inf
@@ -189,11 +191,74 @@ def enumeration_runs(proxsqn):
             yield f"enum/{loss.value}/{kind.value}/b={b}", h.hexdigest(), []
 
 
+PARSE_TEXTS = [
+    ("known", "1.0 1:0.5 3:-2.0\n-1.0 2:4.0\n0.25\n"),
+    ("blank-lines", "1.0 1:2.0\n\n   \n-1.0 2:3.0\n"),
+    ("breaks-and-spaces",
+     "1 1:2\r\n-1\x0b+1 3:1.\x1c.5 2:1_0\u2028 0\t1:.5\xa04:7\x85\n"),
+    ("empty", ""),
+    ("blank-only", "\n  \n"),
+    ("bad-label", "abc 1:2.0\n"),
+    ("missing-colon", "1.0 1:2.0\n-1.0 notpair\n"),
+    ("empty-index", "1 :2\n"),
+    ("empty-value", "1 2:\n"),
+    ("a:b:c", "1 a:b:c\n"),
+    ("balanced-colons", "1 1:2:3 4\n"),
+    ("index-0", "1.0 0:2.0\n"),
+    ("not-increasing", "1.0 3:1.0 2:3.0\n"),
+    ("bad-value", "1.0 1:zz\n"),
+    ("nan-label", "nan 1:2.0\n"),
+    ("inf-value", "1.0 1:2.0 3:inf\n"),
+    ("1e400", "1.0 1:1e400\n"),
+    ("error-after-nan", "1 1:nan\n1 2:x\n"),
+    ("index-past-int64", "1 99999999999999999999:1\n"),
+]
+
+
+def parse_texts(proxsqn):
+    """PARSE_TEXTS, then a 2500-line text written from a synthetic
+    instance, alone and with a malformed token, a nan or both far apart."""
+    yield from PARSE_TEXTS
+    ds, _ = proxsqn.generate_synthetic(proxsqn.SyntheticSpec(
+        n=2500, d=30, density=0.3, noise=0.1, seed=12))
+    lines = proxsqn.write_libsvm(ds).splitlines(keepends=True)
+
+    def edit(**at):
+        out = list(lines)
+        for k, line in at.items():
+            out[int(k[1:])] = line
+        return "".join(out)
+
+    yield "synthetic", "".join(lines)
+    yield "synthetic/bad-token", edit(l2300="1 2:1 3:4:5\n")
+    yield "synthetic/nan", edit(l1500="-1 4:nan\n")
+    yield "synthetic/nan-then-bad", edit(l10="nan 1:1\n", l2400="1 x:1\n")
+
+
+def parse_runs(proxsqn):
+    """(name, hash, []) for parse_libsvm on each corpus text."""
+    for text_name, text in parse_texts(proxsqn):
+        for binary in (False, True):
+            for d in (None, 40):
+                h = hashlib.sha256()
+                try:
+                    ds = proxsqn.parse_libsvm(text, d=d, binary_labels=binary)
+                except (ValueError, OverflowError) as exc:
+                    h.update(f"{type(exc).__name__}: {exc}".encode())
+                else:
+                    h.update(repr(ds.d).encode())
+                    for a in (ds.indptr, ds.indices, ds.values, ds.labels):
+                        h.update(a.tobytes())
+                yield (f"parse/{text_name}/binary={binary}/d={d}",
+                       h.hexdigest(), [])
+
+
 def emit():
     import proxsqn
     for name, digest, objs in (*solver_runs(proxsqn), *cli_runs(proxsqn),
                                *check_runs(proxsqn),
-                               *enumeration_runs(proxsqn)):
+                               *enumeration_runs(proxsqn),
+                               *parse_runs(proxsqn)):
         print(name, digest, ",".join(repr(p) for p in objs) or "-",
               sep="\t", flush=True)
 
