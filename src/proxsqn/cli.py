@@ -96,10 +96,15 @@ def _materialize(cfg: ExperimentConfig):
         return ds
     text = _read_text(cfg.dataset, "dataset")
     try:
-        return parse_libsvm(
-            text, binary_labels=LOSSES[cfg.loss].binary_labels)
+        ds = parse_libsvm(text, binary_labels=LOSSES[cfg.loss].binary_labels)
     except LibsvmFormatError as exc:
         _fail(1, f"{cfg.dataset}: {exc}")
+    except OverflowError:  # a 0-based index past int64
+        ds = None
+    # an index of 2^63 parses, but no int64 matrix shape holds d = 2^63
+    if ds is None or ds.d >= 2 ** 63:
+        _fail(1, f"{cfg.dataset}: a feature index exceeds 2^63 - 1")
+    return ds
 
 
 def _format_float(v: float) -> str:

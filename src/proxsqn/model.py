@@ -7,7 +7,8 @@ The smooth part of the composite problem is F(x) = (1/n) sum_i f_i(x) with
 
 The loss table LOSSES is the one place that knows each loss. To add one,
 add a LossKind member and a Loss entry: value, gradient coefficient, the
-estimator's coefficient difference, curvature weight and bound, label rule.
+estimator's snapshot part and the coefficient difference built from it,
+curvature weight and bound, label rule.
 
 Rows a_i are stored sparse (CSR triplet) and every per-component oracle is
 O(nnz(a_i)). Batch quantities are sums over the index set, not averages;
@@ -39,7 +40,8 @@ class Loss:
 
     value: Callable             # f_i without the ridge term
     coef: Callable              # c with data gradient c a_i
-    coef_diff: Callable         # coef(z, b) - coef(zt, b), as the estimator
+    snapshot_coef: Callable     # st, the part of coef_diff that z does not move
+    coef_diff: Callable         # coef(z, b) - coef(zt, b) from st(zt, b)
     curvature: Callable | None  # w with data Hessian w a_i a_i'; None: constant
     curvature_bound: float      # sup over z of w
     binary_labels: bool         # labels in {-1, +1}, generated as margin signs
@@ -55,7 +57,8 @@ LOSSES = {
         value=lambda z, b: 0.5 * (z - b) ** 2,
         coef=lambda z, b: z - b,
         # not (z - b) - (zt - b): equal in exact arithmetic, rounded otherwise
-        coef_diff=lambda z, zt, b: z - zt,
+        snapshot_coef=lambda zt, b: zt,
+        coef_diff=lambda z, st, b: z - st,
         curvature=None,
         curvature_bound=1.0,
         binary_labels=False),
@@ -63,7 +66,8 @@ LOSSES = {
         # log(1 + exp(-b z)) without overflow
         value=lambda z, b: np.logaddexp(0.0, -b * z),
         coef=lambda z, b: -b * expit(-b * z),
-        coef_diff=lambda z, zt, b: b * (expit(-b * zt) - expit(-b * z)),
+        snapshot_coef=lambda zt, b: expit(-b * zt),
+        coef_diff=lambda z, st, b: b * (st - expit(-b * z)),
         curvature=_logistic_curvature,
         curvature_bound=0.25,
         binary_labels=True),

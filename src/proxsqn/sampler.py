@@ -15,11 +15,14 @@ with per-index divisors w_j chosen so E[v] = grad F(x) exactly:
                         second-moment bound is not claimed for it)
 
 All draws consume the stream of one numpy Philox generator, so runs are
-reproducible from the 64-bit seed alone. Sampler.draw_epoch(m) takes the
-words of m batches in one call, in the order m draw() calls take them, so
-the batches are bit for bit the same; uniform subsets come from
+reproducible from the 64-bit seed alone. Sampler.draw_epoch(m, snapshot)
+takes the words of m batches in one call, in the order m draw() calls take
+them, so the batches are bit for bit the same; uniform subsets come from
 _floyd_block, Floyd's rule applied one column at a time to all m rows.
-gather_batches, the one builder of a Batch, gathers their rows in blocks.
+gather_batches, the one builder of a Batch, gathers their rows in blocks,
+and with each block the estimator's terms that depend on the snapshot alone
+(margins a_i'xt, the loss's snapshot part, ridge * sum_j 1/w_j), once per
+block; vr_gradient does the work that depends on x.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnumerationLimitError
-from .model import LOSSES, Dataset, SmoothObjective, batch_slabs, full_gradient
+from .model import LOSSES, SmoothObjective, batch_margins, batch_slabs, \
+    full_gradient
 
 _ENUM_LIMIT = 100000
 
@@ -62,14 +66,19 @@ class Batch:
     """Drawn indices with per-index estimator divisors, from gather_batches.
 
     slabs and labels are the gathered rows, exactly batch_slabs(dataset,
-    indices) and dataset.labels[indices]; a full batch carries neither.
+    indices) and dataset.labels[indices]; the terms of the snapshot they were
+    gathered against are snapshot_coef, the loss's snapshot part at each
+    a_i'xt, and ridge_coef = ridge * sum_j 1/w_j. A full batch carries none.
     """
 
     indices: np.ndarray
     weights: np.ndarray
+    snapshot: SnapshotState
     full: bool = False  # exact full batch (uniform, b = n)
     slabs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
     labels: np.ndarray | None = None
+    snapshot_coef: np.ndarray | None = None
+    ridge_coef: float = 0.0
 
 
 @dataclass(eq=False)
@@ -153,16 +162,16 @@ class Sampler:
             self._q = ls / ls.sum()
             self._cum = np.cumsum(self._q)
 
-    def draw(self) -> Batch:
-        """One batch: the first and only batch of draw_epoch(1)."""
-        return next(self.draw_epoch(1))
+    def draw(self, snapshot: SnapshotState) -> Batch:
+        """One batch: the first and only batch of draw_epoch(1, snapshot)."""
+        return next(self.draw_epoch(1, snapshot))
 
-    def draw_epoch(self, m: int):
+    def draw_epoch(self, m: int, snapshot: SnapshotState):
         """Iterator over the next m batches, bit for bit m draw() calls.
 
         Every word of the m batches is taken from the stream now, in the
         order m draw() calls would take them; gather_batches gathers their
-        rows as the iterator is consumed.
+        rows against the epoch's snapshot as the iterator is consumed.
         """
         n, b = self.obj.n, self.scheme.b
         kind = self.scheme.kind
@@ -181,58 +190,68 @@ class Sampler:
             ks = np.searchsorted(self._cum, rng.random(m * b), side="right")
             idx = np.minimum(ks, n - 1).astype(np.int64).reshape(m, b)
             weights = n * b * self._p[idx]
-        return gather_batches(self.obj.dataset, idx, weights, full=(
+        return gather_batches(self.obj, snapshot, idx, weights, full=(
             kind is SchemeKind.UNIFORM_BATCH and b == n))
 
 
-def gather_batches(ds: Dataset, idx: np.ndarray, weights: np.ndarray,
-                   full: bool):
+def gather_batches(obj: SmoothObjective, snapshot: SnapshotState,
+                   idx: np.ndarray, weights: np.ndarray, full: bool):
     """Iterator over the batches of the rows of idx and weights, (m, b) each.
 
     The one place a Batch is built. A full batch (uniform, b = n) carries
     no rows: the estimator takes the full gradient. Otherwise the rows are
     gathered as the iterator is consumed, in blocks of at most n rows (one
     batch when b > n), so the memory of a block stays at one pass over the
-    data, and each batch carries views of its slabs and labels.
+    data. Each block's snapshot terms take the bits of one batch at a time
+    (bincount adds each row's entries in one order; the rest is per row),
+    and each batch carries views of its slabs, labels and snapshot terms.
     """
     if full:
-        yield from (Batch(i, w, full=True) for i, w in zip(idx, weights))
+        yield from (Batch(i, w, snapshot, True) for i, w in zip(idx, weights))
         return
+    ds, loss = obj.dataset, LOSSES[obj.loss]
     m, b = idx.shape
     per_block = max(1, ds.n // b)
     for t0 in range(0, m, per_block):
-        rows = idx[t0:t0 + per_block]
-        cols, vals, rid = batch_slabs(ds, rows.ravel())
+        rows, w = idx[t0:t0 + per_block], weights[t0:t0 + per_block]
+        flat = rows.ravel()
+        slabs = cols, vals, rid = batch_slabs(ds, flat)
         labels = ds.labels[rows]
+        zt = batch_margins(flat, snapshot.x_tilde, slabs).reshape(rows.shape)
+        st = loss.snapshot_coef(zt, labels)
+        ridge = (obj.ridge * (1.0 / w).sum(axis=1)).tolist()
         # entry offsets of each batch in the block, and batch-local ids
         ends = np.searchsorted(rid, np.arange(0, rows.size + 1, b))
         local = rid % b
         for t, (lo, hi) in enumerate(zip(ends[:-1].tolist(),
                                          ends[1:].tolist())):
-            yield Batch(rows[t], weights[t0 + t], slabs=(
-                cols[lo:hi], vals[lo:hi], local[lo:hi]), labels=labels[t])
+            yield Batch(rows[t], w[t], snapshot, slabs=(
+                cols[lo:hi], vals[lo:hi], local[lo:hi]), labels=labels[t],
+                snapshot_coef=st[t], ridge_coef=ridge[t])
 
 
 def vr_gradient(obj: SmoothObjective, snapshot: SnapshotState, batch: Batch,
                 x: np.ndarray) -> np.ndarray:
-    """Variance-reduced gradient estimate at x.
+    """Variance-reduced gradient estimate at x, from the snapshot terms the
+    batch carries; a batch of another snapshot raises ValueError.
 
     The uniform full batch collapses to grad F(x) exactly (same reduction as
     full_gradient, bit for bit), and x identical to the snapshot point gives
     v = grad F(xt) exactly since the difference coefficients vanish.
     """
+    if batch.snapshot is not snapshot:
+        raise ValueError("batch was gathered against another snapshot")
     if batch.full:
         return full_gradient(obj, x)
-    xt = snapshot.x_tilde
     k = batch.indices.size
     (cols, vals, rid), bl = batch.slabs, batch.labels
     zs = np.bincount(rid, weights=vals * x[cols], minlength=k)
-    zts = np.bincount(rid, weights=vals * xt[cols], minlength=k)
-    cw = LOSSES[obj.loss].coef_diff(zs, zts, bl) / batch.weights
+    cw = LOSSES[obj.loss].coef_diff(zs, batch.snapshot_coef, bl) \
+        / batch.weights
     diff = np.bincount(cols, weights=cw[rid] * vals, minlength=obj.d)
     # the ridge and snapshot terms added in place, bit for bit
-    ridge = np.subtract(x, xt)
-    ridge *= obj.ridge * float((1.0 / batch.weights).sum())
+    ridge = np.subtract(x, snapshot.x_tilde)
+    ridge *= batch.ridge_coef
     diff += ridge
     diff += snapshot.full_grad
     return diff
@@ -252,9 +271,9 @@ def enumerate_estimator_stats(obj: SmoothObjective, snapshot: SnapshotState,
     """Enumerate the full support of the batch distribution exactly.
 
     Independent oracle for the estimator: outcome probabilities are computed
-    here from first principles, while each outcome's batch is gathered by
-    gather_batches and its v computed by vr_gradient, so what is certified
-    is the production estimator itself.
+    here from first principles, while each outcome's batch is gathered, with
+    its snapshot terms, by gather_batches and its v computed by vr_gradient,
+    so what is certified is the production estimator itself.
     """
     n, b = obj.n, scheme.b
     L = obj.component_lipschitz
@@ -281,7 +300,7 @@ def enumerate_estimator_stats(obj: SmoothObjective, snapshot: SnapshotState,
             q = ls / ls.sum()
             probs = q.tolist()
             weights = np.repeat(count * b * q, b).reshape(count, b)
-    batches = gather_batches(obj.dataset, idx, weights, full=(
+    batches = gather_batches(obj, snapshot, idx, weights, full=(
         kind is SchemeKind.UNIFORM_BATCH and b == n))
     g = full_gradient(obj, x)
     mean, second, total_p = np.zeros(obj.d), 0.0, 0.0

@@ -6,7 +6,8 @@ ProxSQN epoch structure (epochs s = 1..S, inner iterations j = 0..m-1, global
   * each epoch snapshots xt = previous epoch average and its full gradient;
   * after the snapshot the epoch's m gradient batches are drawn at once,
     the same words of the same stream as one draw per step, and their rows
-    are gathered in blocks as the steps consume them;
+    are gathered in blocks, with the estimator's snapshot terms, as the
+    steps consume them;
   * each inner step takes its batch, forms the variance-reduced estimate v,
     and updates by a plain prox step during warmup (g <= 2Z) or by the
     scaled prox step x+ = prox_{eta R}^{H}(x - eta H^{-1} v) afterwards;
@@ -186,7 +187,7 @@ def _run_inner_loop(obj, reg, config, p_star):
         grad_evals += obj.n
         xsum = np.zeros(d)
         # the epoch's m gradient batches: the words m draw() calls would take
-        batches = sampler.draw_epoch(config.m)
+        batches = sampler.draw_epoch(config.m, snapshot)
         for j, batch in enumerate(batches):
             g = (s - 1) * config.m + j + 1
             if use_metric:

@@ -183,6 +183,22 @@ def test_run_nonfinite_dataset(runner, tmp_path):
     assert "line 2, column 8: non-finite value 'nan'" in res.stderr
 
 
+@pytest.mark.parametrize("index", [
+    "99999999999999999999",  # past int64 in the parser
+    str(2 ** 63),            # parses, to d = 2^63
+])
+def test_run_index_past_int64_exit_1(runner, tmp_path, index):
+    data = tmp_path / "data.libsvm"
+    data.write_text(f"1 {index}:1\n")
+    cfg = write_config(
+        tmp_path,
+        "loss = squared_error\nridge = 0.1\nlambda1 = 0.0\n"
+        f"dataset = {data}\nsolvers = prox_gd\n")
+    res = runner.invoke(main, ["--output", str(tmp_path / "out"), "run", cfg])
+    assert exited_cleanly(res, 1)
+    assert res.stderr == f"error: {data}: a feature index exceeds 2^63 - 1\n"
+
+
 def test_run_non_utf8_dataset(runner, tmp_path):
     bad = tmp_path / "bad.libsvm"
     bad.write_bytes(b"1 1:2.0\n-1 2:\xff3.0\n")

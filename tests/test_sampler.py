@@ -3,14 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from proxsqn import (
     EnumerationLimitError,
+    LossKind,
     Sampler,
     SamplingScheme,
     SchemeKind,
+    SmoothObjective,
+    SyntheticSpec,
     enumerate_estimator_stats,
     full_gradient,
+    generate_synthetic,
     make_rng,
     make_snapshot,
     vr_gradient,
@@ -20,26 +25,31 @@ from proxsqn.oracles import component_gradient
 from proxsqn.sampler import _floyd_block, _floyd_sample, gather_batches
 
 
-def one_batch(obj, idx, weights, full=False):
+def one_batch(obj, snap, idx, weights, full=False):
     """The batch of one row of indices and divisors, gathered the one way."""
-    return next(gather_batches(obj.dataset, np.asarray(idx)[None],
+    return next(gather_batches(obj, snap, np.asarray(idx)[None],
                                np.asarray(weights, dtype=np.float64)[None],
                                full))
 
 
-def draw_one_by_one(sampler):
+def origin(obj):
+    """A snapshot for draws whose estimator is not under test."""
+    return make_snapshot(obj, np.zeros(obj.d))
+
+
+def draw_one_by_one(sampler, snap):
     """One batch drawn the way the sampler drew one per step before it drew
     whole epochs: the oracle for draw_epoch."""
     obj, n, b = sampler.obj, sampler.obj.n, sampler.scheme.b
     kind = sampler.scheme.kind
     if kind is SchemeKind.UNIFORM_BATCH:
         idx = _floyd_sample(sampler.rng, n, b)
-        return one_batch(obj, idx, np.full(b, float(b)), full=(b == n))
+        return one_batch(obj, snap, idx, np.full(b, float(b)), full=(b == n))
     if kind is SchemeKind.WEIGHTED_SINGLE:
         i = int(np.searchsorted(sampler._cum, sampler.rng.random(),
                                 side="right"))
         i = min(i, n - 1)
-        return one_batch(obj, np.array([i], dtype=np.int64),
+        return one_batch(obj, snap, np.array([i], dtype=np.int64),
                          np.array([n * b * sampler._p[i]]))
     if kind is SchemeKind.WEIGHTED_BATCH:
         k = int(np.searchsorted(sampler._cum, sampler.rng.random(),
@@ -47,10 +57,39 @@ def draw_one_by_one(sampler):
         k = min(k, len(sampler._subsets) - 1)
         idx = sampler._subsets[k]
         w = math.comb(n, b) * b * sampler._q[k]
-        return one_batch(obj, idx, np.full(b, w))
+        return one_batch(obj, snap, idx, np.full(b, w))
     ks = np.searchsorted(sampler._cum, sampler.rng.random(b), side="right")
     ks = np.minimum(ks, n - 1).astype(np.int64)
-    return one_batch(obj, ks, n * b * sampler._p[ks])
+    return one_batch(obj, snap, ks, n * b * sampler._p[ks])
+
+
+# each loss's coefficient difference as one function of both margins, not
+# split into a snapshot part and the difference built from it
+UNSPLIT_COEF_DIFF = {
+    LossKind.SQUARED_ERROR: lambda z, zt, b: z - zt,
+    LossKind.LOGISTIC_RIDGE:
+        lambda z, zt, b: b * (expit(-b * zt) - expit(-b * z)),
+}
+
+
+def vr_gradient_per_step(obj, snapshot, batch, x):
+    """v computed from the snapshot alone, every step: both margins by
+    bincount, the unsplit coefficient difference and the batch's ridge
+    sum. The oracle for the snapshot terms a gathered batch carries."""
+    if batch.full:
+        return full_gradient(obj, x)
+    xt = snapshot.x_tilde
+    k = batch.indices.size
+    (cols, vals, rid), bl = batch.slabs, batch.labels
+    zs = np.bincount(rid, weights=vals * x[cols], minlength=k)
+    zts = np.bincount(rid, weights=vals * xt[cols], minlength=k)
+    cw = UNSPLIT_COEF_DIFF[obj.loss](zs, zts, bl) / batch.weights
+    diff = np.bincount(cols, weights=cw[rid] * vals, minlength=obj.d)
+    ridge = np.subtract(x, xt)
+    ridge *= obj.ridge * float((1.0 / batch.weights).sum())
+    diff += ridge
+    diff += snapshot.full_grad
+    return diff
 
 
 # ---------------------------------------------------------------- floyd sampling
@@ -102,12 +141,13 @@ def test_make_rng_takes_64_bit_seeds_only():
 
 def test_sampler_determinism(sq_small):
     scheme = SamplingScheme(SchemeKind.UNIFORM_BATCH, 2, seed=9)
-    a = [Sampler(sq_small, scheme).draw().indices for _ in range(1)]
-    b = [Sampler(sq_small, scheme).draw().indices for _ in range(1)]
+    snap = origin(sq_small)
+    a = [Sampler(sq_small, scheme).draw(snap).indices for _ in range(1)]
+    b = [Sampler(sq_small, scheme).draw(snap).indices for _ in range(1)]
     assert np.array_equal(a[0], b[0])
     s1, s2 = Sampler(sq_small, scheme), Sampler(sq_small, scheme)
     for _ in range(20):
-        assert np.array_equal(s1.draw().indices, s2.draw().indices)
+        assert np.array_equal(s1.draw(snap).indices, s2.draw(snap).indices)
 
 
 # ---------------------------------------------------------------- epoch draws
@@ -132,15 +172,15 @@ def test_draw_epoch_is_m_draws(fixture, kind, b, m, request):
     ds = obj.dataset
     scheme = SamplingScheme(kind, b, seed=5)
     sampler, oracle = Sampler(obj, scheme), Sampler(obj, scheme)
-    batches = sampler.draw_epoch(m)
-    want = [draw_one_by_one(oracle) for _ in range(m)]
+    rng = make_rng(48)
+    x, xt = rng.standard_normal(obj.d), rng.standard_normal(obj.d)
+    snap = make_snapshot(obj, xt)
+    batches = sampler.draw_epoch(m, snap)
+    want = [draw_one_by_one(oracle, snap) for _ in range(m)]
     # every word of the epoch is taken before the first batch is used
     assert sampler.rng.random() == oracle.rng.random()
     got = list(batches)
     assert len(got) == m
-    rng = make_rng(48)
-    x, xt = rng.standard_normal(obj.d), rng.standard_normal(obj.d)
-    snap = make_snapshot(obj, xt)
     for batch, ref in zip(got, want):
         assert batch.indices.dtype == np.int64
         assert np.array_equal(batch.indices, ref.indices)
@@ -158,9 +198,60 @@ def test_draw_epoch_is_m_draws(fixture, kind, b, m, request):
             assert np.array_equal(part, oracle_part)
     # draw() is draw_epoch(1)'s batch
     for _ in range(3):
-        one, ref = sampler.draw(), draw_one_by_one(oracle)
+        one, ref = sampler.draw(snap), draw_one_by_one(oracle, snap)
         assert np.array_equal(one.indices, ref.indices)
         assert np.array_equal(one.weights, ref.weights)
+
+
+@pytest.fixture(scope="module")
+def log_midsize():
+    """200 x 20 logistic instance: blocks of many batches, binary labels."""
+    spec = SyntheticSpec(n=200, d=20, density=0.15, condition=8.0, noise=0.1,
+                         seed=3, loss=LossKind.LOGISTIC_RIDGE)
+    ds, _ = generate_synthetic(spec)
+    return SmoothObjective.build(ds, LossKind.LOGISTIC_RIDGE, ridge=0.1)
+
+
+# n = 200: m is never a multiple of n // b, and b = 250 > n draws one batch
+# per block
+CARRIED = [(SchemeKind.UNIFORM_BATCH, 7, 60),
+           (SchemeKind.UNIFORM_BATCH, 200, 3),  # b = n: full batches
+           (SchemeKind.WEIGHTED_SINGLE, 1, 450),
+           (SchemeKind.WEIGHTED_BATCH, 2, 150),
+           (SchemeKind.WEIGHTED_REPLACEMENT, 7, 60),
+           (SchemeKind.WEIGHTED_REPLACEMENT, 250, 3)]
+
+
+@pytest.mark.parametrize("fixture", ["midsize", "log_midsize"])
+@pytest.mark.parametrize("kind,b,m", CARRIED)
+def test_carried_snapshot_terms_are_the_per_step_ones(fixture, kind, b, m,
+                                                      request):
+    # the terms computed once per gathered block give the bits of the
+    # per-step formula, each epoch against its own snapshot
+    obj = request.getfixturevalue(fixture)
+    sampler = Sampler(obj, SamplingScheme(kind, b, seed=6))
+    rng = make_rng(49)
+    for _ in range(3):
+        snap = make_snapshot(obj, rng.standard_normal(obj.d))
+        for batch in sampler.draw_epoch(m, snap):
+            x = rng.standard_normal(obj.d)
+            assert np.array_equal(vr_gradient(obj, snap, batch, x),
+                                  vr_gradient_per_step(obj, snap, batch, x))
+
+
+@pytest.mark.parametrize("b", [2, 6])  # 6 = n: a full batch
+def test_batch_of_another_snapshot_raises(sq_small, b):
+    sampler = Sampler(sq_small, SamplingScheme(SchemeKind.UNIFORM_BATCH, b))
+    rng = make_rng(50)
+    first = make_snapshot(sq_small, rng.standard_normal(sq_small.d))
+    batch = sampler.draw(first)
+    x = rng.standard_normal(sq_small.d)
+    vr_gradient(sq_small, first, batch, x)
+    # the next epoch's snapshot, and an equal copy of this one, are others
+    for other in (make_snapshot(sq_small, rng.standard_normal(sq_small.d)),
+                  make_snapshot(sq_small, first.x_tilde)):
+        with pytest.raises(ValueError, match="another snapshot"):
+            vr_gradient(sq_small, other, batch, x)
 
 
 @pytest.mark.parametrize("kind,b,m", [(SchemeKind.UNIFORM_BATCH, 7, 60),
@@ -176,7 +267,8 @@ def test_draw_epoch_gathers_at_most_n_rows(midsize, kind, b, m, monkeypatch):
         return batch_slabs(ds, rows)
 
     monkeypatch.setattr(sampler_module, "batch_slabs", recording_slabs)
-    batches = Sampler(midsize, SamplingScheme(kind, b)).draw_epoch(m)
+    batches = Sampler(midsize, SamplingScheme(kind, b)).draw_epoch(
+        m, origin(midsize))
     assert sizes == []  # rows are gathered only as batches are taken
     for _ in batches:
         assert max(sizes) <= midsize.n
@@ -200,11 +292,11 @@ def test_scheme_validation(sq_small):
 
 def test_uniform_batch_weights(sq_small):
     s = Sampler(sq_small, SamplingScheme(SchemeKind.UNIFORM_BATCH, 3))
-    batch = s.draw()
+    batch = s.draw(origin(sq_small))
     assert np.array_equal(batch.weights, [3.0, 3.0, 3.0])
     assert not batch.full
-    full = Sampler(sq_small,
-                   SamplingScheme(SchemeKind.UNIFORM_BATCH, 6)).draw()
+    full = Sampler(sq_small, SamplingScheme(SchemeKind.UNIFORM_BATCH, 6)).draw(
+        origin(sq_small))
     assert full.full
     assert np.array_equal(full.indices, np.arange(6))
 
@@ -214,7 +306,7 @@ def test_weighted_single_weights(sq_small):
     q = L / L.sum()
     s = Sampler(sq_small, SamplingScheme(SchemeKind.WEIGHTED_SINGLE, 1))
     for _ in range(30):
-        batch = s.draw()
+        batch = s.draw(origin(sq_small))
         i = int(batch.indices[0])
         assert batch.weights[0] == pytest.approx(sq_small.n * q[i])
 
@@ -226,7 +318,7 @@ def test_weighted_batch_weights(sq_small):
     total = sum(L[list(S)].sum()
                 for S in itertools.combinations(range(n), b))
     for _ in range(20):
-        batch = s.draw()
+        batch = s.draw(origin(sq_small))
         q = L[batch.indices].sum() / total
         want = math.comb(n, b) * b * q
         assert np.allclose(batch.weights, want)
@@ -246,7 +338,7 @@ def test_weighted_replacement_weights(sq_small):
     L = sq_small.component_lipschitz
     p = L / L.sum()
     s = Sampler(sq_small, SamplingScheme(SchemeKind.WEIGHTED_REPLACEMENT, 3))
-    batch = s.draw()
+    batch = s.draw(origin(sq_small))
     assert np.allclose(batch.weights, sq_small.n * 3 * p[batch.indices])
 
 
@@ -261,7 +353,7 @@ def test_vr_gradient_formula(sq_small, log_small):
         snap = make_snapshot(obj, xt)
         idx = np.array([1, 3, 4])
         w = np.array([2.0, 3.0, 5.0])
-        v = vr_gradient(obj, snap, one_batch(obj, idx, w), x)
+        v = vr_gradient(obj, snap, one_batch(obj, snap, idx, w), x)
         want = snap.full_grad.copy()
         for i, wi in zip(idx, w):
             want += (component_gradient(obj, int(i), x)
@@ -273,8 +365,8 @@ def test_vr_gradient_at_snapshot_is_exact(sq_small):
     rng = make_rng(44)
     x = rng.standard_normal(sq_small.d)
     snap = make_snapshot(sq_small, x)
-    v = vr_gradient(sq_small, snap, one_batch(sq_small, [0, 2], [2.0, 2.0]),
-                    x)
+    v = vr_gradient(sq_small, snap,
+                    one_batch(sq_small, snap, [0, 2], [2.0, 2.0]), x)
     assert np.array_equal(v, snap.full_grad)  # bitwise
 
 
@@ -284,8 +376,8 @@ def test_vr_gradient_full_batch_is_full_gradient(sq_small):
     xt = rng.standard_normal(sq_small.d)
     snap = make_snapshot(sq_small, xt)
     n = sq_small.n
-    v = vr_gradient(sq_small, snap, one_batch(sq_small, np.arange(n),
-                                              np.full(n, float(n)), True), x)
+    v = vr_gradient(sq_small, snap, one_batch(
+        sq_small, snap, np.arange(n), np.full(n, float(n)), True), x)
     assert np.array_equal(v, full_gradient(sq_small, x))  # bitwise
 
 

@@ -137,8 +137,8 @@ def test_sqn_draws_the_svrg_gradient_batches(midsize, lasso_reg, monkeypatch):
     draws = []
     real_draw_epoch = Sampler.draw_epoch
 
-    def recording_draw_epoch(self, m):
-        batches = real_draw_epoch(self, m)
+    def recording_draw_epoch(self, m, snapshot):
+        batches = real_draw_epoch(self, m, snapshot)
 
         def recorded():
             for batch in batches:
