@@ -27,6 +27,7 @@ import os
 import sys
 
 import click
+import numpy as np
 
 from .config import ExperimentConfig, parse_config
 from .dataio import generate_synthetic, parse_libsvm, write_libsvm
@@ -111,6 +112,14 @@ def _format_float(v: float) -> str:
     return repr(float(v))
 
 
+def _write_atomic(path: str, text: str) -> None:
+    """Write text to `<path>.partial`, then rename it to path."""
+    partial = path + ".partial"
+    with open(partial, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    os.replace(partial, path)
+
+
 def _write_csv(path: str, records) -> None:
     lines = [CSV_HEADER]
     for r in records:
@@ -118,10 +127,7 @@ def _write_csv(path: str, records) -> None:
         lines.append(",".join((
             str(r.epoch), str(r.iteration), _format_float(r.objective), sub,
             str(r.grad_evals), str(r.metric_rebuilds), str(r.elapsed_ns))))
-    partial = path + ".partial"
-    with open(partial, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(partial, path)
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 @main.command("run")
@@ -138,10 +144,16 @@ def cmd_run(ctx, config_path):
         except ValueError as exc:
             _fail(1, f"--seed: {exc}")
     ds = _materialize(cfg)
+    source = cfg.dataset or "synthetic data"
     try:
         obj = SmoothObjective.build(ds, cfg.loss, cfg.ridge)
     except ValueError as exc:
-        _fail(1, f"{cfg.dataset or 'synthetic data'}: {exc}")
+        _fail(1, f"{source}: {exc}")
+    try:  # every solver holds vectors of length d: fail here, not in one
+        np.empty(obj.d)
+    except (MemoryError, ValueError) as exc:  # "array is too big"
+        _fail(1, f"{source}: d = {obj.d} features: cannot allocate a "
+                 f"vector of length d ({exc})")
     reg = Regularizer(RegKind.L1 if cfg.lambda1 > 0 else RegKind.ZERO,
                       cfg.lambda1)
     try:
@@ -234,13 +246,10 @@ def cmd_gen(spec_config, out_path, truth_path):
         _fail(1, f"{spec_config}: gen needs a synthetic.* section")
     ds, x_true = generate_synthetic(cfg.synthetic)
     try:
-        partial = out_path + ".partial"
-        with open(partial, "w", encoding="utf-8") as fh:
-            fh.write(write_libsvm(ds))
-        os.replace(partial, out_path)
+        _write_atomic(out_path, write_libsvm(ds))
         if truth_path is not None:
-            with open(truth_path, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(repr(float(v)) for v in x_true) + "\n")
+            _write_atomic(truth_path, "\n".join(repr(float(v))
+                                                 for v in x_true) + "\n")
     except OSError as exc:
         _fail(3, f"cannot write dataset: {exc}")
     click.echo(f"wrote {out_path}: n={ds.n} d={ds.d} nnz={ds.nnz} "

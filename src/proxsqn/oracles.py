@@ -10,7 +10,7 @@ from .errors import ConvergenceError
 from .metric import Metric
 from .model import LOSSES, BatchHessianSpectrum, SmoothObjective, \
     batch_slabs, dense_batch_hessian
-from .prox import RegKind, Regularizer, ScaledProxProblem, _soft_threshold
+from .prox import Regularizer, ScaledProxProblem
 
 __all__ = ["component_gradient", "batch_gradient", "batch_spectrum",
            "dense_inverse", "dense_metric", "subproblem_oracle",
@@ -83,12 +83,11 @@ def subproblem_oracle(reg: Regularizer, prob: ScaledProxProblem,
     H = dense_metric(prob)
     sigma = float(np.linalg.eigvalsh(H)[-1])
     y = prob.x.copy()
-    lam = reg.lambda1 if reg.kind is RegKind.L1 else 0.0
-    thresh = (prob.eta / sigma) * lam
+    thresh = (prob.eta / sigma) * reg.lambda1
     for _ in range(max_iter):
         grad = H @ (y - prob.x)
         z = y - grad / sigma
-        y_next = _soft_threshold(z, thresh) if lam > 0.0 else z
+        y_next = np.sign(z) * np.maximum(np.abs(z) - thresh, 0.0)
         if float(np.linalg.norm(y_next - y)) <= tol:
             return y_next
         y = y_next
@@ -107,7 +106,7 @@ def kkt_residual(reg: Regularizer, prob: ScaledProxProblem,
     [-lambda1, lambda1] (y_j = 0).
     """
     r = dense_metric(prob) @ (prob.x - y) / prob.eta
-    if reg.kind is RegKind.ZERO or reg.lambda1 == 0.0:
+    if reg.lambda1 == 0.0:
         return float(np.max(np.abs(r))) if r.size else 0.0
     lam = reg.lambda1
     viol = np.where(y != 0.0,

@@ -64,38 +64,30 @@ class Regularizer:
 
 
 def reg_value(reg: Regularizer, x: np.ndarray) -> float:
-    if reg.kind is RegKind.ZERO or reg.lambda1 == 0.0:
+    if reg.lambda1 == 0.0:
         return 0.0
     return float(reg.lambda1 * np.sum(np.abs(x)))
 
 
-def _soft_threshold(z, t, out=None):
-    """max(|z| - t, 0) with the sign of z copied on, into out if given.
+def _soft_threshold(z, lo, hi, out=None):
+    """z - clip(z, lo, hi) in three ufuncs, into out if given (not z).
 
-    Bit for bit sign(z) * max(|z| - t, 0) in one ufunc call fewer, except
-    that z = -0 gives -0 where that form gives +0. out must not overlap z.
+    With lo = -t and hi = t it is sign(z) * max(|z| - t, 0) bit for bit,
+    except that every zero is +0.
     """
-    r = np.abs(z, out=out)
-    np.maximum(np.subtract(r, t, out=r), 0.0, out=r)
-    return np.copysign(r, z, out=r)
+    y = np.maximum(z, lo, out=out)
+    np.minimum(y, hi, out=y)
+    return np.subtract(z, y, out=y)
 
 
-def prox(reg: Regularizer, x: np.ndarray, eta: float,
-         out: np.ndarray | None = None) -> np.ndarray:
-    """prox_{eta R}(x) under the identity metric, written into out if given.
-
-    An out that shares memory with x raises ValueError.
-    """
+def prox(reg: Regularizer, x: np.ndarray, eta: float) -> np.ndarray:
+    """prox_{eta R}(x) under the identity metric, as a new array."""
     if not eta > 0.0:  # rejects nan as well
         raise ValueError("eta must be > 0")
-    if out is not None and np.may_share_memory(out, x):
-        raise ValueError("out must not share memory with x")
-    if reg.kind is RegKind.ZERO or reg.lambda1 == 0.0:
-        if out is None:
-            return x.copy()
-        out[...] = x
-        return out
-    return _soft_threshold(x, eta * reg.lambda1, out)
+    if reg.lambda1 == 0.0:
+        return x.copy()
+    t = eta * reg.lambda1
+    return _soft_threshold(x, -t, t)
 
 
 @dataclass(eq=False)
@@ -185,8 +177,6 @@ def _make_rootfn(prob, w, t):
     y_of writes every evaluation into one fresh array, which it returns: a
     y kept from an earlier beta is overwritten by the next one. The inner
     point x - sign * beta * w lives in the problem's scratch row 0.
-    y is _soft_threshold(x - sign * beta * w, t) bit for bit, but for the
-    sign of its zeros: here every zero is +0.
     """
     u, x = prob.rank1, prob.x
     ux = float(u.dot(x))  # dot, not @: same ddot with less call overhead
@@ -199,10 +189,8 @@ def _make_rootfn(prob, w, t):
     def y_of(beta):
         if beta is not last[0]:
             last[0] = beta
-            # z - clip(z, -t, t): three ufuncs, without the slow copysign
             np.subtract(x, np.multiply(w, sgn * beta, out=z), out=z)
-            np.minimum(np.maximum(z, neg_t, out=y), t, out=y)
-            np.subtract(z, y, out=y)
+            _soft_threshold(z, neg_t, t, out=y)
         return y
 
     def g(beta):
@@ -312,11 +300,12 @@ def scaled_prox_info(reg: Regularizer,
     exact route, whose root stands. RootInfo.method is "newton" or
     "newton+exact", and evaluations counts every g evaluation of both.
     """
-    if reg.kind is RegKind.ZERO or reg.lambda1 == 0.0:
+    if reg.lambda1 == 0.0:
         # prox of 0 in any metric is the identity
         return prob.x.copy(), RootInfo(0.0, 0.0, 0, "closed")
     if prob._unorm < _U_ZERO_TOL:  # H is diagonal: prox in the D metric
-        y = _soft_threshold(prob.x, prob._parts(reg.lambda1)[1])
+        t = prob._parts(reg.lambda1)[1]
+        y = _soft_threshold(prob.x, prob._neg_t, t)
         return y, RootInfo(0.0, 0.0, 0, "diag")
     beta, res, y_of, count = _solve_newton(reg, prob)
     evals, method = count[0], "newton"

@@ -44,7 +44,7 @@ from .metric import MetricBounds, CurvaturePair, Metric, apply_inverse, \
 from .model import LOSSES, SmoothObjective, dense_batch_hessian, \
     full_gradient, hessian_vec, smooth_value
 from . import prox as prox_module
-from .prox import Regularizer, RegKind, ScaledProxProblem, prox, reg_value
+from .prox import Regularizer, ScaledProxProblem, prox, reg_value
 from .sampler import Sampler, SamplingScheme, SchemeKind, _floyd_block, \
     check_seed, make_rng, make_snapshot, vr_gradient
 
@@ -174,9 +174,6 @@ def _run_inner_loop(obj, reg, config, p_star):
     # its row `point` and the Newton start is the previous root
     prox_prob: ScaledProxProblem | None = None
     point = np.zeros(d)
-    # the plain prox writes the iterate into these rows by turns, so a new
-    # iterate never overwrites the one it is computed from
-    rows = np.empty((2, d))
     grad_evals = 0
     rebuilds = 0
     anomalies = 0
@@ -194,12 +191,11 @@ def _run_inner_loop(obj, reg, config, p_star):
                 window[(g - 1) % Z] = x
             v = vr_gradient(obj, snapshot, batch, x)
             grad_evals += obj.n if batch.full else 2 * batch.indices.size
-            warm = (g - 1) < 2 * Z
             # x - eta * (...) in place, bit for bit: v is this step's own
             # array, and the scaled step's point is overwritten every step
-            if warm or metric is None:
+            if metric is None:
                 np.subtract(x, np.multiply(v, eta, out=v), out=v)
-                x = prox(reg, v, eta, out=rows[g % 2])
+                x = prox(reg, v, eta)
             else:
                 np.subtract(x, np.multiply(apply_inverse(metric, v), eta,
                                            out=point), out=point)
@@ -304,7 +300,7 @@ def _run_prox_newton(obj, reg, config, p_star):
     for k in range(1, config.epochs + 1):
         g = full_gradient(obj, x)
         H = dense_batch_hessian(obj, all_rows, x) / obj.n
-        if reg.kind is RegKind.ZERO or reg.lambda1 == 0.0:
+        if reg.lambda1 == 0.0:
             x = x - config.eta * np.linalg.solve(H, g)
         else:
             x = _newton_subproblem(H, g, x, reg, config.eta)
@@ -320,10 +316,10 @@ def _newton_subproblem(H, g, x, reg, eta, tol=1e-12, max_iter=20000):
     y = x.copy()
     z = y.copy()
     t = 1.0
-    lam = reg.lambda1
+    thresh = reg.lambda1 / sigma
     for _ in range(max_iter):
         grad = (H @ (z - c)) / eta
-        y_next = prox_module._soft_threshold(z - grad / sigma, lam / sigma)
+        y_next = prox_module._soft_threshold(z - grad / sigma, -thresh, thresh)
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         z = y_next + ((t - 1.0) / t_next) * (y_next - y)
         if float(np.linalg.norm(y_next - y)) <= tol * (1.0 + float(np.linalg.norm(y))):
@@ -418,11 +414,14 @@ def reference_solution(obj: SmoothObjective, reg: Regularizer,
     Stops when the fixed-point residual ||x - prox_{eta R}(x - eta grad F)||
     / eta falls below tol. Raises ValueError on a negative or non-finite
     tol, and ConvergenceError at the iteration cap or on a non-finite
-    residual.
+    smoothness estimate or residual.
     """
     if not 0.0 <= tol < math.inf:
         raise ValueError("tol must be >= 0 and finite")
-    eta = 1.0 / estimate_smoothness(obj)
+    smoothness = estimate_smoothness(obj)
+    if not math.isfinite(smoothness):
+        raise ConvergenceError(f"non-finite smoothness estimate {smoothness}")
+    eta = 1.0 / smoothness
     steps = _prox_gradient(obj, reg, eta, momentum=True, restart=True)
     for x in itertools.islice(steps, max_iter):
         fp = prox(reg, x - eta * full_gradient(obj, x), eta)

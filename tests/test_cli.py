@@ -199,6 +199,41 @@ def test_run_index_past_int64_exit_1(runner, tmp_path, index):
     assert res.stderr == f"error: {data}: a feature index exceeds 2^63 - 1\n"
 
 
+def test_run_nonfinite_smoothness_falls_back_to_raw_traces(runner, tmp_path):
+    # 1e160 squared overflows the smoothness estimate: no reference
+    # solution, and prox_gd diverges on the raw objective
+    data = tmp_path / "data.libsvm"
+    data.write_text("1 1:1e160\n-1 2:2\n")
+    cfg = write_config(
+        tmp_path,
+        "loss = squared_error\nridge = 0.1\nlambda1 = 0.0\n"
+        f"dataset = {data}\nsolvers = prox_gd\n")
+    res = runner.invoke(main, ["--output", str(tmp_path / "out"), "run", cfg])
+    assert exited_cleanly(res, 2)
+    assert "warning: no reference solution" in res.stderr
+    assert "prox_gd            diverged" in res.stdout
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("index", [
+    str(2 ** 50),  # past the address space
+    str(2 ** 62),  # past numpy's array size limit
+])
+def test_run_unallocatable_d_exit_1(runner, tmp_path, index):
+    data = tmp_path / "data.libsvm"
+    data.write_text(f"1 {index}:1\n")
+    cfg = write_config(
+        tmp_path,
+        "loss = squared_error\nridge = 0.1\nlambda1 = 0.0\n"
+        f"dataset = {data}\nsolvers = prox_gd\n")
+    res = runner.invoke(main, ["--output", str(tmp_path / "out"), "run", cfg])
+    assert exited_cleanly(res, 1)
+    assert res.stderr.startswith(
+        f"error: {data}: d = {index} features: cannot allocate")
+    assert res.stderr.count("\n") == 1
+    assert "Traceback" not in res.output
+
+
 def test_run_non_utf8_dataset(runner, tmp_path):
     bad = tmp_path / "bad.libsvm"
     bad.write_bytes(b"1 1:2.0\n-1 2:\xff3.0\n")
@@ -390,6 +425,24 @@ def test_gen_matches_library_generator(runner, tmp_path):
     assert datasets_equal(got, want_ds)
     x_back = np.array([float(v) for v in read_lines(truth)])
     assert np.array_equal(x_back, want_x)
+
+
+def test_gen_truth_written_atomically(runner, tmp_path, monkeypatch):
+    # a failed rename leaves no truth file, as for the dataset and the CSVs
+    cfg = write_config(tmp_path, GEN_CONFIG, "spec.cfg")
+    truth = tmp_path / "truth.txt"
+    real_replace = os.replace
+
+    def failing_replace(src, dst):
+        if str(dst) == str(truth):
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr("proxsqn.cli.os.replace", failing_replace)
+    res = runner.invoke(main, ["gen", cfg, "-o", str(tmp_path / "d.libsvm"),
+                               "--truth", str(truth)])
+    assert exited_cleanly(res, 3)
+    assert not truth.exists()
 
 
 def test_gen_deterministic_bytes(runner, tmp_path):

@@ -589,43 +589,55 @@ def test_warm_start_saves_evaluations():
         assert sum(warm) < sum(cold)
 
 
+def assert_sign_form_plus_zero(y, z, t):
+    """y is sign(z) * max(|z| - t, 0) bit for bit where that is nonzero,
+    and +0 where it is zero."""
+    want = np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
+    live = want != 0.0
+    assert np.array_equal(y != 0.0, live)
+    assert y[live].tobytes() == want[live].tobytes()
+    assert not np.signbit(y[~live]).any()
+
+
+# -0, +-1e-300 and values on both sides of a threshold near 0.5
+ZERO_CORPUS = np.array([-0.0, 0.0, 1e-300, -1e-300, 0.25, -0.25, 0.5, -0.5,
+                        0.75, -0.75])
+INFS = np.array([math.inf, -math.inf])
+
+
 def test_soft_threshold_bitwise_sign_form():
-    # the copysign form keeps the bytes of sign(z) * max(|z| - t, 0), for
-    # scalar and per-coordinate thresholds; only z = -0 differs (-0 for +0)
+    # z - clip(z, -t, t) keeps the bytes of sign(z) * max(|z| - t, 0), for
+    # scalar and per-coordinate thresholds, except that every zero is +0
     rng = make_rng(46)
-    z = np.concatenate([3.0 * rng.standard_normal(500),
-                        [0.0, 0.5, -0.5, 1e-300, -1e-300, math.inf,
-                         -math.inf]])
+    z = np.concatenate([3.0 * rng.standard_normal(500), ZERO_CORPUS, INFS])
     for t in (0.5, 0.05 + rng.random(z.size)):
-        want = np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
-        assert P._soft_threshold(z, t).tobytes() == want.tobytes()
-    y = P._soft_threshold(np.array([-0.0]), 0.5)
-    assert y[0] == 0.0 and math.copysign(1.0, y[0]) == -1.0
+        assert_sign_form_plus_zero(P._soft_threshold(z, -t, t), z, t)
 
 
-@pytest.mark.parametrize("lam", [0.0, 0.3])
-def test_prox_out_matches_allocating_call(lam):
+def test_prox_zeros_are_plus_zero():
     rng = make_rng(47)
-    reg = Regularizer(RegKind.L1 if lam > 0 else RegKind.ZERO, lam)
-    for d in (1, 7, 20000):
-        x = 2.0 * rng.standard_normal(d)
-        want = prox(reg, x, 0.7)
-        buf = np.full(d, math.nan)
-        got = prox(reg, x, 0.7, out=buf)
-        assert got is buf
-        assert got.tobytes() == want.tobytes()
+    reg = Regularizer(RegKind.L1, 0.3)
+    x = np.concatenate([ZERO_CORPUS, INFS, 2.0 * rng.standard_normal(200)])
+    assert_sign_form_plus_zero(prox(reg, x, 1.5), x, 1.5 * 0.3)
 
 
-@pytest.mark.parametrize("lam", [0.0, 0.3])
-def test_prox_out_sharing_x_raises(lam):
-    # out may not overlap x, whether it is x itself or a view into it
-    reg = Regularizer(RegKind.L1 if lam > 0 else RegKind.ZERO, lam)
-    rows = np.arange(12.0).reshape(2, 6)
-    for x, out in ((rows[0], rows[0]), (rows.ravel()[:6], rows.ravel()[3:9])):
-        with pytest.raises(ValueError, match="share memory"):
-            prox(reg, x, 0.5, out=out)
-    assert np.array_equal(rows, np.arange(12.0).reshape(2, 6))
-    prox(reg, rows[0], 0.5, out=rows[1])  # disjoint rows of one array
+@pytest.mark.parametrize("sign", [1, -1])
+def test_scaled_prox_zeros_are_plus_zero(sign):
+    # the diag route (u = 0) and the Newton route: y is the soft threshold
+    # of the inner point x - sign * beta * D^{-1} u, with +0 for its zeros
+    rng = make_rng(48)
+    reg, prob = random_problem(rng, 212, sign)
+    x, u = prob.x, prob.rank1.copy()
+    x[:ZERO_CORPUS.size] = ZERO_CORPUS
+    u[:4] = 0.0  # coordinates where the inner point is x itself
+    t = (prob.eta / prob.diag) * reg.lambda1
+    for rank1, methods in ((np.zeros_like(u), {"diag"}),
+                           (u, {"newton", "newton+exact"})):
+        p = ScaledProxProblem(prob.diag, rank1, sign, prob.eta, x)
+        y, info = scaled_prox_info(reg, p)
+        assert info.method in methods
+        z = x - (sign * info.beta) * (rank1 / prob.diag)
+        assert_sign_form_plus_zero(y, z, t)
 
 
 def test_prox_module_not_shadowed():

@@ -171,12 +171,11 @@ def test_hessian_batches_are_the_per_rebuild_draws(midsize, lasso_reg,
     Z, seed = 5, 13
     real_prox, steps = solver_module.prox, []
 
-    def pinned_prox(reg, v, eta, out=None):
+    def pinned_prox(reg, v, eta):
         steps.append(None)
         if len(steps) <= 4 * Z:
-            out[:] = 0.0
-            return out
-        return real_prox(reg, v, eta, out=out)
+            return np.zeros_like(v)
+        return real_prox(reg, v, eta)
 
     drawn = []
     real_hessian_vec = solver_module.hessian_vec
@@ -329,7 +328,7 @@ def test_scaled_steps_start_from_the_previous_root(midsize, lasso_reg,
 
 @pytest.mark.parametrize("kind", [SolverKind.PROX_SQN, SolverKind.PROX_SVRG])
 def test_runs_share_no_buffers(midsize, lasso_reg, kind):
-    # the inner loop writes into its own rows; two runs in one process give
+    # the inner loop's buffers are its own; two runs in one process give
     # the same trace, and the first result's x belongs to its caller
     cfg = sqn_config(kind=kind, epochs=3, m=40)
     first = run(midsize, lasso_reg, cfg)
@@ -430,6 +429,15 @@ def test_fixed_point_of_scaled_update(midsize, lasso_reg):
 
 
 # ---------------------------------------------------------------- baselines
+
+
+@pytest.mark.parametrize("kind", [SolverKind.PROX_GD, SolverKind.FISTA])
+def test_full_gradient_zeros_are_plus_zero(midsize, lasso_reg, kind):
+    # the soft threshold writes +0 for every zero it makes
+    eta = 1.0 / estimate_smoothness(midsize)
+    x = run(midsize, lasso_reg, SolverConfig(kind=kind, epochs=30, eta=eta)).x
+    assert (x == 0.0).any()
+    assert not np.signbit(x[x == 0.0]).any()
 
 
 def test_fista_beats_ista():
@@ -569,6 +577,16 @@ def test_reference_solution_rejects_nan_tol(midsize, lasso_reg):
     # a nan tol is never met: it must fail at once, not at the cap
     with pytest.raises(ValueError, match="tol"):
         reference_solution(midsize, lasso_reg, tol=math.nan, max_iter=10)
+
+
+def test_reference_solution_rejects_nonfinite_smoothness(midsize, lasso_reg,
+                                                        monkeypatch):
+    # entries near 1e160 overflow the power iteration to nan; a nan step
+    # must not reach the prox
+    monkeypatch.setattr("proxsqn.solver.estimate_smoothness",
+                        lambda obj: math.nan)
+    with pytest.raises(ConvergenceError, match="smoothness estimate nan"):
+        reference_solution(midsize, lasso_reg)
 
 
 def test_reference_solution_stops_on_nonfinite_residual(midsize, lasso_reg,

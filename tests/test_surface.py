@@ -19,6 +19,9 @@ def test_oracles_live_outside_the_package_namespace():
     assert len(proxsqn.oracles.__all__) == len(ORACLES)
     for name in ORACLES:
         assert callable(getattr(proxsqn.oracles, name))
+    # the subproblem oracle checks the library's soft threshold: it keeps
+    # its own
+    assert not hasattr(proxsqn.oracles, "_soft_threshold")
 
 
 @pytest.mark.parametrize("knob", ["dense_limit", "divergence_factor"])

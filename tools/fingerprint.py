@@ -11,15 +11,21 @@ loss and lambda1 in {0, 0.02}, with all five solvers; then each property
 check of `run_checks("fast")`; then the exact estimator moments of
 `enumerate_estimator_stats` for every sampling scheme, on a tiny instance
 per loss; then `parse_libsvm` on a fixed corpus of valid and malformed
-texts, with and without binary_labels and d. It prints one line per run: its name, a SHA-256 hash and its
-per-epoch objectives ("-" when it has none). A solver run's hash covers
-every TraceRecord field except elapsed_ns, the final x bytes and the
-RunResult counters; a CLI run's covers its exit code and each CSV with the
-elapsed_ns column cut off. A run that raises hashes the exception's type
-and message instead. A check's hash covers its name, pass flag, margin repr
-and detail; an enumeration's covers the mean's bytes and the repr of the
-mean squared deviation; a parse's covers d and the bytes of indptr,
-indices, values and labels, or the exception's type and message.
+texts, with and without binary_labels and d; then `prox` and
+`scaled_prox_info` on a fixed corpus (-0, +-1e-300, +-inf and values on
+both sides of the threshold), for lambda1 in {0, 0.3}, under the identity,
+a diagonal metric (u = 0) and a diagonal-plus-rank-one metric of each sign,
+on the whole corpus and on its finite part. It prints one line per run:
+its name, a SHA-256 hash and its per-epoch objectives ("-" when it has
+none). A solver run's hash covers every TraceRecord field except
+elapsed_ns, the final x bytes and the RunResult counters; a CLI run's
+covers its exit code and each CSV with the elapsed_ns column cut off. A
+run that raises hashes the exception's type and message instead. A check's
+hash covers its name, pass flag, margin repr and detail; an enumeration's
+covers the mean's bytes and the repr of the mean squared deviation; a
+parse's covers d and the bytes of indptr, indices, values and labels, or
+the exception's type and message; a prox run's covers the bytes of y and,
+for the scaled prox, the RootInfo repr.
 
 --compare reads two such outputs. It names the runs whose hashes differ and,
 for each, the largest objective difference relative to max(1, |P|), or inf
@@ -33,6 +39,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import math
 import os
 import sys
 import tempfile
@@ -253,12 +260,43 @@ def parse_runs(proxsqn):
                        h.hexdigest(), [])
 
 
+# threshold 0.3 at eta = 1, lambda1 = 0.3: both sides of it, and of zero
+PROX_CORPUS = np.array([-0.0, 0.0, 1e-300, -1e-300, 0.1, -0.1, 0.29, -0.29,
+                        0.3, -0.3, 0.31, -0.31, 2.0, -2.0, math.inf,
+                        -math.inf])
+
+
+def prox_runs(proxsqn):
+    """(name, hash, []) for the plain and scaled prox on PROX_CORPUS."""
+    from proxsqn.prox import prox
+    n = PROX_CORPUS.size
+    diag = np.linspace(0.5, 2.0, n)
+    u = 0.1 * np.cos(np.arange(n))  # u'D^{-1}u < 1: either sign is PD
+    metrics = [("diag", np.zeros(n), 1), ("rank1+", u, 1), ("rank1-", u, -1)]
+    for lam in (0.0, 0.3):
+        reg = proxsqn.Regularizer(
+            proxsqn.RegKind.L1 if lam else proxsqn.RegKind.ZERO, lam)
+        for part, x in (("full", PROX_CORPUS),
+                        ("finite", PROX_CORPUS[np.isfinite(PROX_CORPUS)])):
+            k = x.size
+            yield (f"prox/plain/l1={lam}/{part}",
+                   hashlib.sha256(prox(reg, x, 1.0).tobytes()).hexdigest(),
+                   [])
+            for name, rank1, sign in metrics:
+                prob = proxsqn.ScaledProxProblem(diag[:k], rank1[:k], sign,
+                                                 1.0, x)
+                y, info = proxsqn.scaled_prox_info(reg, prob)
+                h = hashlib.sha256(y.tobytes())
+                h.update(repr(info).encode())
+                yield f"prox/{name}/l1={lam}/{part}", h.hexdigest(), []
+
+
 def emit():
     import proxsqn
     for name, digest, objs in (*solver_runs(proxsqn), *cli_runs(proxsqn),
                                *check_runs(proxsqn),
                                *enumeration_runs(proxsqn),
-                               *parse_runs(proxsqn)):
+                               *parse_runs(proxsqn), *prox_runs(proxsqn)):
         print(name, digest, ",".join(repr(p) for p in objs) or "-",
               sep="\t", flush=True)
 
