@@ -11,7 +11,7 @@ that are not UTF-8 included) or a solver rejecting its settings, 2 solver
 divergence, 3 output I/O failure; other solvers' traces are still written
 past a per-solver error or divergence. CSVs are written to `<name>.partial`
 and renamed into place when complete, so an interrupted run never leaves a
-finished-looking file.
+finished-looking file; a failed write or rename removes the partial file.
 
 Traces are deterministic for a fixed config: reruns produce byte-identical
 CSVs except the elapsed_ns column. --seed overrides every solver's seed
@@ -22,6 +22,7 @@ PROXSQN_THREADS) runs configured solvers concurrently, one per worker.
 from __future__ import annotations
 
 import concurrent.futures as cf
+import contextlib
 import dataclasses
 import os
 import sys
@@ -113,11 +114,17 @@ def _format_float(v: float) -> str:
 
 
 def _write_atomic(path: str, text: str) -> None:
-    """Write text to `<path>.partial`, then rename it to path."""
+    """Write text to `<path>.partial`, then rename it to path; when either
+    step fails, remove the partial file and re-raise."""
     partial = path + ".partial"
-    with open(partial, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(partial, path)
+    try:
+        with open(partial, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(partial, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(partial)
+        raise
 
 
 def _write_csv(path: str, records) -> None:
@@ -245,13 +252,15 @@ def cmd_gen(spec_config, out_path, truth_path):
     if cfg.synthetic is None:
         _fail(1, f"{spec_config}: gen needs a synthetic.* section")
     ds, x_true = generate_synthetic(cfg.synthetic)
-    try:
-        _write_atomic(out_path, write_libsvm(ds))
-        if truth_path is not None:
-            _write_atomic(truth_path, "\n".join(repr(float(v))
-                                                 for v in x_true) + "\n")
-    except OSError as exc:
-        _fail(3, f"cannot write dataset: {exc}")
+    files = [(out_path, write_libsvm(ds))]
+    if truth_path is not None:
+        files.append((truth_path,
+                      "\n".join(repr(float(v)) for v in x_true) + "\n"))
+    for path, text in files:
+        try:
+            _write_atomic(path, text)
+        except OSError as exc:
+            _fail(3, f"cannot write {path}: {exc}")
     click.echo(f"wrote {out_path}: n={ds.n} d={ds.d} nnz={ds.nnz} "
                f"loss={cfg.loss.value}")
 

@@ -190,7 +190,11 @@ class SmoothObjective:
             raise ValueError("component_lipschitz must have one entry per row")
         if not 0.0 <= self.ridge < math.inf:
             raise ValueError("ridge must be >= 0 and finite")
-        if not np.all(L > 0.0):  # nan fails too
+        bad = np.flatnonzero(~np.isfinite(L))
+        if bad.size:  # a row whose squared values overflow, say
+            raise ValueError(f"row {bad[0] + 1}: component Lipschitz constant "
+                             f"L_i = {float(L[bad[0]])} is not finite")
+        if not np.all(L > 0.0):
             raise ValueError(
                 "every component needs L_i > 0; add ridge > 0 or drop empty rows"
             )
@@ -219,9 +223,10 @@ class SmoothObjective:
               strong_convexity=None):
         if component_lipschitz is None:
             sq_norms = np.zeros(dataset.n)
-            np.add.at(sq_norms, np.repeat(np.arange(dataset.n),
-                                          np.diff(dataset.indptr)),
-                      dataset.values ** 2)
+            with np.errstate(over="ignore"):  # an inf L_i is rejected next
+                np.add.at(sq_norms, np.repeat(np.arange(dataset.n),
+                                              np.diff(dataset.indptr)),
+                          dataset.values ** 2)
             component_lipschitz = LOSSES[loss].curvature_bound * sq_norms + ridge
         if strong_convexity is None:
             strong_convexity = ridge

@@ -11,20 +11,19 @@ y(beta*) where beta* is the unique root of
 
     g(beta) = u'(x - y(beta)) + beta.
 
-g is continuous, piecewise linear for the L1 regularizer, and strictly
-increasing (slope >= 1 for sign=+1, >= 1 - u'D^{-1}u > 0 for sign=-1). Its
-root is found by bracketed semismooth Newton in continuous beta from the
-problem's start beta0 (0 by default; the solver passes the previous step's
-root), which stops once |g| is down to its rounding floor. When that root
-misses the residual guard |g| <= 1e-9 (1 + |beta|), or after _NEWTON_ITERS
-steps, the exact route takes over once: a median search over the unsorted
-breakpoints for the linear piece holding the root, then the exact secant
-step on it. Its root stands. A non-finite x, as in a diverging run, makes
-g inf or nan: neither route finds a root, and the non-finite y of the
-exact route is returned for the caller's divergence guard, not an
-exception. A sorted breakpoint search and a bisection solver serve as
-oracles in tests/test_prox.py; both routes are independent of the
-iterative subproblem solver and the KKT residual in proxsqn.oracles.
+g is continuous, piecewise linear for the L1 regularizer, with a breakpoint
+wherever a coordinate of the inner soft threshold switches, and strictly
+increasing (slope >= 1 for sign=+1, >= 1 - u'D^{-1}u > 0 for sign=-1). One
+route finds its root: bracketed semismooth Newton in continuous beta from
+the problem's start beta0 (0 by default; the solver passes the previous
+step's root). Its safeguard step is the median of the breakpoints left in
+the bracket; once none is left, a secant and Newton steps on the affine
+piece that holds the root end it (_solve_root states its steps and its
+evaluation bound). A non-finite x, as in a diverging run, makes g inf or
+nan: the route still ends within its bound and returns a non-finite y for
+the caller's divergence guard, not an exception. A sorted breakpoint search
+and a bisection solver, built from the definition of g, serve as its
+oracles in tests/test_prox.py.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ _NEWTON_ITERS = 10
 # calls captured from the benchmark's runs. |g| under _ROUNDING times that
 # counts as a root; a miss costs one more Newton step, not a wrong root.
 _ROUNDING = 16 * np.finfo(np.float64).eps
+_POLISH = 2  # Newton steps after the final secant
 
 
 class RegKind(enum.Enum):
@@ -97,8 +97,8 @@ class ScaledProxProblem:
     x and beta0, the Newton start, are the per-call inputs; the library
     reads beta0 and never writes it, and a non-finite beta0 starts from 0.
     The rest is fixed after construction: what depends on the metric and eta
-    alone is computed once, ||u|| here and D^{-1} u, its nonzero set, the
-    Newton slope weights and the L1 thresholds (per lambda1) on first use.
+    alone is computed once, ||u|| here and D^{-1} u, the Newton slope
+    weights and the L1 thresholds (per lambda1) on first use.
     Root solves write into the problem's scratch rows, so one problem serves
     one solve at a time.
     """
@@ -143,22 +143,18 @@ class ScaledProxProblem:
         return self._work
 
     def _parts(self, lambda1):
-        """(w, t, t on the live set): w = D^{-1} u and the L1 threshold of
-        the diag(D) metric t = (eta / D) * lambda1, in the order that makes
-        D = c*I bitwise-identical to prox(reg, x, eta / c)."""
+        """(w, t, -t): w = D^{-1} u and the L1 threshold of the diag(D)
+        metric t = (eta / D) * lambda1, in the order that makes D = c*I
+        bitwise-identical to prox(reg, x, eta / c)."""
         if self._lambda1 is None:
-            self._w = w = self.rank1 / self.diag
-            sw = float(self.sign) * w
-            self._slope = sw * self.rank1
+            self._w = self.rank1 / self.diag
+            self._slope = (float(self.sign) * self._w) * self.rank1
             self._abs_u = np.abs(self.rank1)
-            self._live = np.flatnonzero(w)
-            self._sw = sw.take(self._live)
         if self._lambda1 != lambda1:
             self._lambda1 = lambda1
             self._t = (self.eta / self.diag) * lambda1
             self._neg_t = -self._t
-            self._t_live = self._t.take(self._live)
-        return self._w, self._t, self._t_live
+        return self._w, self._t, self._neg_t
 
 
 @dataclass
@@ -171,148 +167,111 @@ class RootInfo:
     method: str
 
 
-def _make_rootfn(prob, w, t):
-    """Returns (g, y_of_beta, count) for the scalar root equation.
+def _solve_root(reg, prob):
+    """Root of g from prob.beta0 by bracketed semismooth Newton.
 
-    y_of writes every evaluation into one fresh array, which it returns: a
-    y kept from an earlier beta is overwritten by the next one. The inner
-    point x - sign * beta * w lives in the problem's scratch row 0.
+    Returns (y, beta, g(beta), evaluations), with y = y(beta) a fresh array.
+    Each of the first _NEWTON_ITERS steps goes to the Newton point of the
+    current iterate (slope 1 + sum over y_j != 0 of sign u_j w_j) or, when
+    that leaves the bracket (lo, hi) given by the signs of g, to the
+    bracket's secant point. When both leave the bracket, and for every
+    later step, the step goes to the median of the breakpoints still inside
+    the bracket, which halves them. Once none is left, g is affine on the
+    bracket: the solve takes its secant point, after one probe 1 + |end|
+    past an open end, and then at most _POLISH Newton steps, which the
+    rounding of a secant from a far end (a start of 1e6, say) needs. It
+    stops as soon as |g| is at its rounding floor. A start at the previous
+    root under the same metric usually lies on the root's piece already, so
+    one Newton step ends the solve. With d coordinates it makes at most
+    _NEWTON_ITERS + floor(log2 2d) + 6 evaluations: the start, the Newton
+    steps, floor(log2 2d) + 1 medians, the probe, the secant and the polish.
     """
-    u, x = prob.rank1, prob.x
+    w, t, neg_t = prob._parts(reg.lambda1)
+    u, x, slope = prob.rank1, prob.x, prob._slope
     ux = float(u.dot(x))  # dot, not @: same ddot with less call overhead
     sgn = float(prob.sign)
-    neg_t = prob._neg_t if t is prob._t else -t
-    z, y = prob._scratch()[0], np.empty_like(x)
-    count = [0]
-    last = [None]  # the root is evaluated by g, then returned by y_of
-
-    def y_of(beta):
-        if beta is not last[0]:
-            last[0] = beta
-            np.subtract(x, np.multiply(w, sgn * beta, out=z), out=z)
-            _soft_threshold(z, neg_t, t, out=y)
-        return y
+    z, active = prob._scratch()
+    y = np.empty_like(x)
+    # |u|'|x| bounds the terms of u'x and, near the root, those of u'y
+    floor = _ROUNDING * float(prob._abs_u.dot(np.abs(x, out=active)))
+    evals = 0
 
     def g(beta):
-        count[0] += 1
-        return ux - float(u.dot(y_of(beta))) + beta
+        """g(beta), with y(beta) written into y."""
+        nonlocal evals
+        evals += 1
+        np.subtract(x, np.multiply(w, sgn * beta, out=z), out=z)
+        _soft_threshold(z, neg_t, t, out=y)
+        return ux - float(u.dot(y)) + beta
 
-    return g, y_of, count
+    def newton(beta, gb):
+        """The Newton point from beta, while y holds y(beta)."""
+        np.not_equal(y, 0.0, out=active)
+        return beta - gb / (1.0 + slope.dot(active))
 
-
-def _solve_exact(reg, prob):
-    """Exact root of the piecewise-linear g for the L1 regularizer.
-
-    Breakpoints are the beta where a coordinate of the inner soft threshold
-    activates or deactivates; g is affine between neighbours, so a secant
-    step on the bracketing segment is exact. Each probe evaluates g at the
-    median of the breakpoints still inside the bracket, closes the bracket
-    and drops the breakpoints outside it, so at most log2(2d) + 1 probes
-    are made. The Newton route's fallback.
-    """
-    w, t, t_live = prob._parts(reg.lambda1)
-    g, y_of, count = _make_rootfn(prob, w, t)
-    sw = prob._sw
-    if not sw.size:
-        return 0.0, g(0.0), y_of, count
-    x = prob.x.take(prob._live)
-    # x_j - sgn*beta*w_j = +-t_j; non-finite ones never enter the bracket
-    cand = np.concatenate([(x - t_live) / sw, (x + t_live) / sw])
-    lo, hi, g_lo, g_hi = -math.inf, math.inf, None, None
-    while True:
-        # take on the index: boolean indexing is slow on a scattered mask
-        cand = cand.take(np.flatnonzero((cand > lo) & (cand < hi)))
-        if not cand.size:
-            break
-        b = np.partition(cand, cand.size // 2)[cand.size // 2]
-        gb = g(b)
-        if gb < 0.0:
-            lo, g_lo = b, gb
-        else:
-            hi, g_hi = b, gb
-    if g_lo is None and g_hi is None:  # no finite breakpoint: g is affine
-        hi, g_hi = 0.0, g(0.0)
-    if g_lo is None:  # root left of every breakpoint
-        g_lo = g(lo := hi - (1.0 + abs(hi)))
-    elif g_hi is None:  # root right of every breakpoint
-        g_hi = g(hi := lo + (1.0 + abs(lo)))
-    beta = lo if g_hi == g_lo else lo - g_lo * (hi - lo) / (g_hi - g_lo)
-    return beta, g(beta), y_of, count
-
-
-def _solve_newton(reg, prob):
-    """Bracketed semismooth Newton on g in continuous beta, from prob.beta0.
-
-    Returns (beta, g(beta), y_of, count), with g(beta) None when the
-    iteration stops without a root. Each step goes to the Newton point of
-    the current iterate (slope 1 + sum over y_j != 0 of sign u_j w_j) or,
-    when that leaves the bracket (lo, hi) given by the signs of g, to the
-    bracket's secant point, or to its midpoint. It stops once |g| is at its
-    rounding floor: a Newton step that stays on one affine piece of g lands
-    there, up to the rounding of the step itself. That rounding grows with
-    the start, so a step from far away (a start of 1e6, say) takes one more
-    step on the same piece. A start at the previous root under the same
-    metric usually lies on the root's piece already, so one Newton step
-    ends the solve.
-    """
-    w, t, _ = prob._parts(reg.lambda1)
-    g, y_of, count = _make_rootfn(prob, w, t)
-    slope = prob._slope
-    active = prob._scratch()[1]
-    # |u|'|x| bounds the terms of u'x and, near the root, those of u'y
-    floor = _ROUNDING * float(prob._abs_u.dot(np.abs(prob.x, out=active)))
     lo, hi, g_lo, g_hi = -math.inf, math.inf, None, None
     beta = float(prob.beta0)
     if not math.isfinite(beta):
         beta = 0.0
-    for _ in range(_NEWTON_ITERS):
+    steps, cand = _NEWTON_ITERS, None
+    while True:
         gb = g(beta)
         if abs(gb) <= floor + _ROUNDING * abs(beta):
-            return beta, gb, y_of, count
+            return y, beta, gb, evals
         if gb < 0.0:
             lo, g_lo = beta, gb
-        else:
+        else:  # nan too: a non-finite x only ever moves hi
             hi, g_hi = beta, gb
-        np.not_equal(y_of(beta), 0.0, out=active)
-        step = beta - gb / (1.0 + slope.dot(active))
-        if step == beta:  # no representable move: let the guard judge
-            return beta, gb, y_of, count
-        if not lo < step < hi:
-            # with a finite g and slope, only a closed bracket is left; a
-            # non-finite g (x inf or nan) leaves one end open: no root here
-            if g_lo is None or g_hi is None:
-                break
-            step = lo - g_lo * (hi - lo) / (g_hi - g_lo)
-            if not lo < step < hi:
-                step = 0.5 * (lo + hi)
-                if not lo < step < hi:
-                    break
-        beta = step
-    return beta, None, y_of, count
+        if steps:
+            steps -= 1
+            step = newton(beta, gb)
+            if step == beta:  # no representable move
+                return y, beta, gb, evals
+            if not lo < step < hi and g_lo is not None and g_hi is not None:
+                step = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+            if lo < step < hi:
+                beta = step
+                continue
+        if cand is None:  # x_j - sgn*beta*w_j = +-t_j; w_j = 0 gives none
+            sw = sgn * w
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                cand = np.concatenate([(x - t) / sw, (x + t) / sw])
+        # take on the index: boolean indexing is slow on a scattered mask;
+        # the comparisons drop the +-inf and nan breakpoints
+        cand = cand.take(np.flatnonzero((cand > lo) & (cand < hi)))
+        if not cand.size:
+            break
+        beta = float(np.partition(cand, cand.size // 2)[cand.size // 2])
+    # no breakpoint inside (lo, hi): g is affine on it and past an open end
+    if g_lo is None:
+        g_lo = g(lo := hi - (1.0 + abs(hi)))
+    elif g_hi is None:
+        g_hi = g(hi := lo + (1.0 + abs(lo)))
+    beta = lo if g_hi == g_lo else lo - g_lo * (hi - lo) / (g_hi - g_lo)
+    for _ in range(_POLISH):
+        gb = g(beta)
+        if abs(gb) <= floor + _ROUNDING * abs(beta):
+            return y, beta, gb, evals
+        beta = newton(beta, gb)
+    return y, beta, g(beta), evals
 
 
 def scaled_prox_info(reg: Regularizer,
                      prob: ScaledProxProblem) -> tuple[np.ndarray, RootInfo]:
     """Scaled prox plus root diagnostics.
 
-    With an L1 term and u != 0 it runs the Newton route; when that misses
-    the residual guard or its iteration cap, it hands over once to the
-    exact route, whose root stands. RootInfo.method is "newton" or
-    "newton+exact", and evaluations counts every g evaluation of both.
+    RootInfo.method is "closed" for R = 0, "diag" for u = 0 (no root to
+    find) and "newton" for the root solve, whose g evaluations
+    RootInfo.evaluations counts.
     """
     if reg.lambda1 == 0.0:
         # prox of 0 in any metric is the identity
         return prob.x.copy(), RootInfo(0.0, 0.0, 0, "closed")
     if prob._unorm < _U_ZERO_TOL:  # H is diagonal: prox in the D metric
-        t = prob._parts(reg.lambda1)[1]
-        y = _soft_threshold(prob.x, prob._neg_t, t)
-        return y, RootInfo(0.0, 0.0, 0, "diag")
-    beta, res, y_of, count = _solve_newton(reg, prob)
-    evals, method = count[0], "newton"
-    if res is None or not abs(res) <= 1e-9 * (1.0 + abs(beta)):
-        beta, res, y_of, count = _solve_exact(reg, prob)
-        evals, method = evals + count[0], "newton+exact"
-    return y_of(beta), RootInfo(float(beta), float(res), evals, method)
+        _, t, neg_t = prob._parts(reg.lambda1)
+        return _soft_threshold(prob.x, neg_t, t), RootInfo(0.0, 0.0, 0, "diag")
+    y, beta, res, evals = _solve_root(reg, prob)
+    return y, RootInfo(float(beta), float(res), evals, "newton")
 
 
 def scaled_prox(reg: Regularizer, prob: ScaledProxProblem) -> np.ndarray:

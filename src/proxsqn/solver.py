@@ -139,7 +139,8 @@ def _recorder(obj, reg, p_star):
     records = []
 
     def record(epoch, iteration, x, grad_evals, rebuilds):
-        p_val = composite_value(obj, reg, x)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked next
+            p_val = composite_value(obj, reg, x)
         if not math.isfinite(p_val) or p_val > limit:
             raise DivergenceError(
                 f"objective {p_val:.6g} exceeded "
@@ -200,47 +201,50 @@ def _run_inner_loop(obj, reg, config, p_star):
                 np.subtract(x, np.multiply(apply_inverse(metric, v), eta,
                                            out=point), out=point)
                 # through the module, so that wrappers of scaled_prox_info
-                # (the benchmark's tracer, tools/routes.py) see every call
+                # (the benchmark's tracer) see every call
                 x, info = prox_module.scaled_prox_info(reg, prox_prob)
                 prox_prob.beta0 = info.beta
                 scaled_calls += 1
                 if first_scaled is None:
                     first_scaled = g
             xsum += x
-            if use_metric and g % Z == 0:
-                xhat = window.mean(axis=0)
-                if xhat_prev is None:
-                    xhat_prev = xhat
-                else:
-                    sr = xhat - xhat_prev
-                    xhat_prev = xhat
-                    sr_norm = float(np.linalg.norm(sr))
-                    xhat_norm = float(np.linalg.norm(xhat))
-                    # a non-finite xhat at the first anchor shows up in s_r
-                    if not math.isfinite(sr_norm + xhat_norm):
-                        raise DivergenceError(
-                            f"anchor point or step not finite at iteration {g}")
-                    if sr_norm <= 1e-14 * (1.0 + xhat_norm):
-                        anomalies += 1
-                    else:
-                        yr = hessian_vec(obj, next(hess_batches), xhat, sr)
-                        try:
-                            metric = build_metric(CurvaturePair(sr, yr),
-                                                  config.alpha, config.skip_eps)
-                            if metric.anomalous:
-                                anomalies += 1
-                            diag, rank1, sign = metric_as_splitting(metric)
-                            # a non-finite y_r, or products of s_r and y_r
-                            # that overflow, leave 1/(alpha tau) or u inf/nan
-                            if not (np.isfinite(diag).all() and diag.all()
-                                    and np.isfinite(rank1).all()):
-                                raise DivergenceError(
-                                    f"curvature pair not finite at iteration {g}")
-                            prox_prob = ScaledProxProblem(diag, rank1, sign,
-                                                          eta, point)
-                            rebuilds += 1
-                        except NegativeCurvatureError:
-                            anomalies += 1
+            if not (use_metric and g % Z == 0):
+                continue
+            xhat = window.mean(axis=0)
+            if xhat_prev is None:
+                xhat_prev = xhat
+                continue
+            sr, xhat_prev = xhat - xhat_prev, xhat
+            # the norms and the splitting are checked for finiteness right
+            # after they are made: a diverging run raises, and warns nowhere
+            with np.errstate(over="ignore", invalid="ignore"):
+                sr_norm = float(np.linalg.norm(sr))
+                xhat_norm = float(np.linalg.norm(xhat))
+                # a non-finite xhat at the first anchor shows up in s_r
+                if not math.isfinite(sr_norm + xhat_norm):
+                    raise DivergenceError(
+                        f"anchor point or step not finite at iteration {g}")
+                if sr_norm <= 1e-14 * (1.0 + xhat_norm):
+                    anomalies += 1
+                    continue
+                yr = hessian_vec(obj, next(hess_batches), xhat, sr)
+                try:
+                    metric = build_metric(CurvaturePair(sr, yr),
+                                          config.alpha, config.skip_eps)
+                except NegativeCurvatureError:
+                    anomalies += 1
+                    continue
+                if metric.anomalous:
+                    anomalies += 1
+                diag, rank1, sign = metric_as_splitting(metric)
+            # a non-finite y_r, or products of s_r and y_r that overflow,
+            # leave 1/(alpha tau) or u inf/nan
+            if not (np.isfinite(diag).all() and diag.all()
+                    and np.isfinite(rank1).all()):
+                raise DivergenceError(
+                    f"curvature pair not finite at iteration {g}")
+            prox_prob = ScaledProxProblem(diag, rank1, sign, eta, point)
+            rebuilds += 1
         x = xsum / config.m
         record(s, s * config.m, x, grad_evals, rebuilds)
     return RunResult(x, records, grad_evals, rebuilds, anomalies,

@@ -199,9 +199,10 @@ def test_run_index_past_int64_exit_1(runner, tmp_path, index):
     assert res.stderr == f"error: {data}: a feature index exceeds 2^63 - 1\n"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_run_nonfinite_smoothness_falls_back_to_raw_traces(runner, tmp_path):
-    # 1e160 squared overflows the smoothness estimate: no reference
-    # solution, and prox_gd diverges on the raw objective
+    # 1e160 squared overflows row 1's Lipschitz constant: the objective
+    # rejects it by row, before numpy can warn or a solver can diverge
     data = tmp_path / "data.libsvm"
     data.write_text("1 1:1e160\n-1 2:2\n")
     cfg = write_config(
@@ -209,10 +210,28 @@ def test_run_nonfinite_smoothness_falls_back_to_raw_traces(runner, tmp_path):
         "loss = squared_error\nridge = 0.1\nlambda1 = 0.0\n"
         f"dataset = {data}\nsolvers = prox_gd\n")
     res = runner.invoke(main, ["--output", str(tmp_path / "out"), "run", cfg])
-    assert exited_cleanly(res, 2)
-    assert "warning: no reference solution" in res.stderr
-    assert "prox_gd            diverged" in res.stdout
+    assert exited_cleanly(res, 1)
+    assert res.stderr == (f"error: {data}: row 1: component Lipschitz "
+                          f"constant L_i = inf is not finite\n")
     assert "Traceback" not in res.output
+
+
+def test_run_without_reference_writes_raw_traces(runner, tmp_path,
+                                                 monkeypatch):
+    # no reference solution: a warning, and traces with an empty subopt
+    def no_reference(*args, **kwargs):
+        raise proxsqn.ConvergenceError("no convergence in 10 steps")
+
+    monkeypatch.setattr("proxsqn.cli.reference_solution", no_reference)
+    cfg = write_config(tmp_path, CONFIG)
+    out = tmp_path / "traces"
+    res = runner.invoke(main, ["--output", str(out), "run", cfg])
+    assert res.exit_code == 0, res.output
+    assert res.stderr == ("warning: no reference solution (no convergence "
+                          "in 10 steps); traces carry raw objectives only\n")
+    for name in ("sqn", "prox_gd"):
+        for line in read_lines(out / f"exp_{name}.csv")[1:]:
+            assert line.split(",")[3] == ""
 
 
 @pytest.mark.parametrize("index", [
@@ -337,6 +356,7 @@ def test_run_divergence_exit_2(runner, tmp_path):
     assert not (out / "exp_sqn.csv").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("eta, what", [
     ("1000.0", "anchor point or step not finite"),
     ("150.0", "curvature pair not finite"),
@@ -359,6 +379,26 @@ def test_run_divergence_at_anchor_exit_2(runner, tmp_path, eta, what):
     assert f"sqn                diverged: {what} at iteration" in res.output
     assert (out / "exp_prox_gd.csv").exists()
     assert not (out / "exp_sqn.csv").exists()
+
+
+def test_run_csv_rename_failure_exit_3(runner, tmp_path, monkeypatch):
+    # a failed rename leaves neither the CSV nor its partial file
+    cfg = write_config(tmp_path, CONFIG)
+    out = tmp_path / "traces"
+    csv = out / "exp_sqn.csv"
+    real_replace = os.replace
+
+    def failing_replace(src, dst):
+        if str(dst) == str(csv):
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr("proxsqn.cli.os.replace", failing_replace)
+    res = runner.invoke(main, ["--output", str(out), "run", cfg])
+    assert exited_cleanly(res, 3)
+    assert not csv.exists()
+    assert not (out / "exp_sqn.csv.partial").exists()
+    assert res.stderr == f"error: cannot write {csv}: disk full\n"
 
 
 def test_run_bad_output_dir_exit_3(runner, tmp_path):
@@ -443,6 +483,8 @@ def test_gen_truth_written_atomically(runner, tmp_path, monkeypatch):
                                "--truth", str(truth)])
     assert exited_cleanly(res, 3)
     assert not truth.exists()
+    assert not (tmp_path / "truth.txt.partial").exists()
+    assert res.stderr == f"error: cannot write {truth}: disk full\n"
 
 
 def test_gen_deterministic_bytes(runner, tmp_path):

@@ -32,58 +32,61 @@ def random_problem(rng, d, sign, lam=0.3):
     return reg, ScaledProxProblem(diag, u, sign, eta, x)
 
 
-def sorted_search(reg, prob):
-    """The exact route before the Newton search, kept as a bit-exact oracle:
-    sort every finite breakpoint, binary-search the bracketing segment, take
-    the secant on it. Returns (y, beta, residual) as scaled_prox_info does."""
-    w, t = prob.rank1 / prob.diag, (prob.eta / prob.diag) * reg.lambda1
-    g, y_of, count = P._make_rootfn(prob, w, t)
-    x, sw = prob.x, float(prob.sign) * w
+def root_function(reg, prob):
+    """(g, y_of) from the definition: y(beta) soft-thresholds
+    x - sign * beta * D^{-1} u at (eta / D) * lambda1, and
+    g(beta) = u'(x - y(beta)) + beta."""
+    w = prob.rank1 / prob.diag
+    t = (prob.eta / prob.diag) * reg.lambda1
+
+    def y_of(beta):
+        z = prob.x - (prob.sign * beta) * w
+        return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
+
+    def g(beta):
+        return float(prob.rank1 @ (prob.x - y_of(beta))) + beta
+
+    return g, y_of
+
+
+def breakpoints(reg, prob):
+    """The finite beta where a coordinate of y(beta) switches state."""
+    w = prob.rank1 / prob.diag
+    t = (prob.eta / prob.diag) * reg.lambda1
     live = w != 0.0
-    if not live.any():
-        return y_of(0.0), 0.0, float(g(0.0))
-    if not live.all():
-        x, t, sw = x[live], t[live], sw[live]
-    # x_j - sgn*beta*w_j = +-t_j
-    bp = np.concatenate([(x - t) / sw, (x + t) / sw])
-    finite = np.isfinite(bp)
-    if not finite.all():
-        bp = bp[finite]
-    bp.sort()  # duplicates are harmless in the search
-    # lazy binary search for the first breakpoint with g >= 0; g is monotone
-    # increasing so ~log2(2d) evaluations bracket the linear segment
-    cache: dict[int, float] = {}
+    sw = prob.sign * w[live]
+    bp = np.concatenate([(prob.x[live] - t[live]) / sw,
+                         (prob.x[live] + t[live]) / sw])
+    return bp[np.isfinite(bp)]
 
-    def geval(i):
-        if i not in cache:
-            cache[i] = g(bp[i])
-        return cache[i]
 
-    lo_i, hi_i = 0, bp.size
+def sorted_search(reg, prob):
+    """Exact root oracle: sort every finite breakpoint, binary-search the
+    segment where g changes sign, take the secant on it (extrapolated past
+    an outer breakpoint). Returns (y, beta, residual)."""
+    g, y_of = root_function(reg, prob)
+    bp = np.sort(breakpoints(reg, prob))  # duplicates are harmless
+    if not bp.size:  # g is affine everywhere
+        bp = np.zeros(1)
+    lo_i, hi_i = 0, bp.size  # first breakpoint with g >= 0; g increases
     while lo_i < hi_i:
         mid = (lo_i + hi_i) // 2
-        if geval(mid) < 0.0:
+        if g(bp[mid]) < 0.0:
             lo_i = mid + 1
         else:
             hi_i = mid
     k = lo_i
     if k == 0:
-        b_hi, g_hi = bp[0], geval(0)
+        b_hi = bp[0]
         b_lo = b_hi - (1.0 + abs(b_hi))
-        g_lo = g(b_lo)
     elif k == bp.size:
-        b_lo, g_lo = bp[-1], geval(bp.size - 1)
+        b_lo = bp[-1]
         b_hi = b_lo + (1.0 + abs(b_lo))
-        g_hi = g(b_hi)
     else:
-        b_lo, g_lo = bp[k - 1], geval(k - 1)
-        b_hi, g_hi = bp[k], geval(k)
-    if g_hi == g_lo:
-        beta = b_lo
-    else:
-        beta = b_lo - g_lo * (b_hi - b_lo) / (g_hi - g_lo)
-    res = g(beta)
-    return y_of(beta), float(beta), float(res)
+        b_lo, b_hi = bp[k - 1], bp[k]
+    g_lo, g_hi = g(b_lo), g(b_hi)
+    beta = b_lo if g_hi == g_lo else b_lo - g_lo * (b_hi - b_lo) / (g_hi - g_lo)
+    return y_of(beta), float(beta), g(beta)
 
 
 _BISECT_WIDTH = 1e-13
@@ -94,9 +97,8 @@ def bisect_search(reg, prob):
     """An independent solver of g(beta) = 0 in continuous beta: geometric
     bracket expansion, bisection, secant polish. Returns (y, beta, residual)
     as sorted_search does."""
-    w, t = prob.rank1 / prob.diag, (prob.eta / prob.diag) * reg.lambda1
-    g, y_of, count = P._make_rootfn(prob, w, t)
-    hi = prob._unorm * float(np.linalg.norm(prob.x)) + 1.0
+    g, y_of = root_function(reg, prob)
+    hi = float(np.linalg.norm(prob.rank1) * np.linalg.norm(prob.x)) + 1.0
     lo = -hi
     width = hi - lo
     glo, ghi = g(lo), g(hi)
@@ -130,56 +132,48 @@ def bisect_search(reg, prob):
             beta = 0.5 * (lo + hi)
     else:
         beta = 0.5 * (lo + hi)
-    res = g(beta)
-    return y_of(beta), float(beta), float(res)
+    return y_of(beta), float(beta), g(beta)
 
 
-def exact_route(reg, prob):
-    """The library's fallback route on its own: (y, beta, residual,
-    evaluations)."""
-    beta, res, y_of, count = P._solve_exact(reg, prob)
-    return y_of(beta), float(beta), float(res), count[0]
+def evaluation_bound(d):
+    """_solve_root's docstring bound: _NEWTON_ITERS + floor(log2 2d) + 6."""
+    return P._NEWTON_ITERS + (2 * d).bit_length() - 1 + 6
 
 
-def assert_matches_sorted_search(reg, prob):
-    """The exact route against sorted_search, bit for bit, with a root that
-    passes the library's residual guard. Returns (evaluations, beta)."""
-    y, beta, res, evals = exact_route(reg, prob)
-    y_ref, beta_ref, res_ref = sorted_search(reg, prob)
-    assert abs(res) <= 1e-9 * (1.0 + abs(beta))
-    assert y.tobytes() == y_ref.tobytes()
-    assert np.float64(beta).tobytes() == np.float64(beta_ref).tobytes()
-    assert np.float64(res).tobytes() == np.float64(res_ref).tobytes()
-    return evals, beta_ref
-
-
-def assert_newton_matches_exact(reg, prob):
-    """auto (the Newton route) against the exact route: the same signs of
-    y, a residual at rounding level and y within 1e-12 in the max norm.
+def assert_root_matches_oracle(reg, prob):
+    """The root solve against sorted_search: the same signs of y, y within
+    1e-12 in the max norm, a residual at rounding level and no more
+    evaluations than the docstring's bound. Returns the RootInfo.
 
     The residual bound adds the rounding floor of g itself: u'x and u'y
     sum terms up to |u|'|x|, which reaches 1.7e4 when the root lies outside
-    every breakpoint, and there the exact route's residual reaches 7e-12.
+    every breakpoint.
     """
     y, info = scaled_prox_info(reg, prob)
-    ye = exact_route(reg, prob)[0]
+    y_ref = sorted_search(reg, prob)[0]
     assert info.method == "newton"
-    assert np.array_equal(np.sign(y), np.sign(ye))
+    assert np.array_equal(np.sign(y), np.sign(y_ref))
+    assert np.max(np.abs(y - y_ref)) <= 1e-12
     floor = 16 * np.finfo(float).eps * float(np.abs(prob.rank1)
                                              .dot(np.abs(prob.x)))
     assert abs(info.residual) <= 1e-12 * (1.0 + abs(info.beta)) + floor
-    assert np.max(np.abs(y - ye)) <= 1e-12
+    assert info.evaluations <= evaluation_bound(prob.x.size)
     return info
 
 
-def breakpoints(reg, prob):
-    w = prob.rank1 / prob.diag
-    t = (prob.eta / prob.diag) * reg.lambda1
-    live = w != 0.0
-    sw = prob.sign * w[live]
-    bp = np.concatenate([(prob.x[live] - t[live]) / sw,
-                         (prob.x[live] + t[live]) / sw])
-    return bp[np.isfinite(bp)]
+# the Newton step budget at its value and at 0 (the safeguard alone), each
+# from the cold start and from far on either side
+START_PARAMS = [(iters, beta0) for iters in (P._NEWTON_ITERS, 0)
+                for beta0 in (0.0, -1e6, 1e6)]
+
+
+@pytest.fixture(params=START_PARAMS,
+                ids=[f"iters={i}-beta0={b:g}" for i, b in START_PARAMS])
+def start(request, monkeypatch):
+    """The Newton start beta0, with _NEWTON_ITERS set for the test."""
+    iters, beta0 = request.param
+    monkeypatch.setattr(P, "_NEWTON_ITERS", iters)
+    return beta0
 
 
 # ---------------------------------------------------------------- plain prox
@@ -315,9 +309,9 @@ def test_scaled_prox_matches_oracle_both_signs(lasso_reg):
         assert kkt_residual(reg, prob, y) <= 1e-8
 
 
-def test_exact_and_bisect_routes_agree():
-    # the Newton route, the breakpoint route and bisect_search are
-    # independent solvers of the same scalar equation
+def test_root_and_both_oracles_agree():
+    # the root solve, sorted_search and bisect_search are independent
+    # solvers of the same scalar equation
     rng = make_rng(27)
     for k in range(72):
         d = 2 + int(rng.integers(0, 12)) if k < 60 else \
@@ -325,134 +319,126 @@ def test_exact_and_bisect_routes_agree():
         reg, prob = random_problem(rng, d, -1 if k % 2 else 1,
                                    lam=float(rng.choice([0.05, 0.3, 1.5])))
         y, info = scaled_prox_info(reg, prob)
-        ye, _, res_e, _ = exact_route(reg, prob)
+        ys, _, res_s = sorted_search(reg, prob)
         yb, _, res_b = bisect_search(reg, prob)
         assert info.method == "newton"
-        for got, res in ((y, info.residual), (ye, res_e)):
+        for got, res in ((y, info.residual), (ys, res_s)):
             assert np.linalg.norm(got - yb) <= 1e-9 * (1 + np.linalg.norm(yb))
             assert abs(res) < 1e-10
         assert abs(res_b) < 1e-10
 
 
-# ---------------------------------------------------------------- exact route vs the sorted search
+# ---------------------------------------------------------------- the root solve vs the oracles
 
 
 @pytest.mark.parametrize("sign", [1, -1])
-def test_exact_route_bitwise_matches_sorted_search(sign):
+def test_root_matches_sorted_search(sign, start):
     rng = make_rng(30 + sign)
     for d in (2, 3, 5, 17, 50, 400, 3000, 20000):
-        for _ in range(12 if d < 3000 else 3):
+        for _ in range(6 if d < 3000 else 1):
             reg, prob = random_problem(rng, d, sign,
                                        lam=float(rng.choice([0.05, 0.3, 1.5])))
-            assert_matches_sorted_search(reg, prob)
-            assert_newton_matches_exact(reg, prob)
+            prob.beta0 = start
+            assert_root_matches_oracle(reg, prob)
 
 
-def test_exact_route_bitwise_with_dead_coordinates():
+@pytest.mark.parametrize("sign", [1, -1])
+def test_root_with_dead_coordinates(sign, start):
     # about 40% of rank1 is exactly zero, as on a sparse lasso metric
     rng = make_rng(32)
-    for k in range(20):
-        d = int(rng.choice([10, 300, 20000]))
-        reg, prob = random_problem(rng, d, -1 if k % 2 else 1)
+    for d in (10, 300, 20000):
+        reg, prob = random_problem(rng, d, sign)
         u = prob.rank1 * (rng.random(d) >= 0.4)
-        prob = ScaledProxProblem(prob.diag, u, prob.sign, prob.eta, prob.x)
-        assert_matches_sorted_search(reg, prob)
-        assert_newton_matches_exact(reg, prob)
+        prob = ScaledProxProblem(prob.diag, u, sign, prob.eta, prob.x, start)
+        assert_root_matches_oracle(reg, prob)
 
 
-def test_exact_route_bitwise_with_duplicate_breakpoints():
+@pytest.mark.parametrize("sign", [1, -1])
+def test_root_with_duplicate_breakpoints(sign, start):
     rng = make_rng(33)
     reg = Regularizer(RegKind.L1, 0.3)
-    for k in range(20):
+    for _ in range(8):
         # a few distinct coordinates, each repeated, on a constant diagonal
         base = int(rng.integers(1, 6))
         reps = int(rng.integers(2, 40))
         x = np.repeat(rng.choice([-2.0, -0.5, 0.0, 0.5, 2.0], base), reps)
         u = np.repeat(rng.choice([-0.25, 0.25, 0.5], base), reps)
-        sign = -1 if k % 2 else 1
         if sign == -1:
             u *= math.sqrt(0.5 / float(u @ u))
-        prob = ScaledProxProblem(np.full(x.size, 2.0), u, sign, 0.7, x)
+        prob = ScaledProxProblem(np.full(x.size, 2.0), u, sign, 0.7, x, start)
         assert np.unique(breakpoints(reg, prob)).size < 2 * x.size
-        assert_matches_sorted_search(reg, prob)
-        assert_newton_matches_exact(reg, prob)
+        assert_root_matches_oracle(reg, prob)
 
 
-@pytest.mark.parametrize("side", [-1.0, 1.0])
-def test_exact_route_bitwise_root_outside_every_breakpoint(side):
+@pytest.mark.parametrize("sign", [1, -1])
+def test_root_outside_every_breakpoint(sign, start):
     # u > 0 and |x| far past the threshold keep every coordinate on one
-    # side: the root lies left (side -1 with sign +1: k = 0) or right of all
+    # side: the root lies left or right of every breakpoint, by the side
+    # of x and the sign
     rng = make_rng(34)
     reg = Regularizer(RegKind.L1, 0.1)
     hits = set()
-    for k in range(20):
-        d = int(rng.choice([3, 40, 5000]))
-        sign = -1 if k % 2 else 1
-        u = 0.1 + rng.random(d)
-        diag = 1.0 + rng.random(d)
-        if sign == -1:
-            u *= math.sqrt(0.5 / float(np.sum(u * u / diag)))
-        x = side * (5.0 + rng.random(d))
-        prob = ScaledProxProblem(diag, u, sign, 0.5, x)
-        info, beta = assert_matches_sorted_search(reg, prob)
-        assert_newton_matches_exact(reg, prob)
-        bp = breakpoints(reg, prob)
-        hits.add("left" if beta < bp.min() else
-                 "right" if beta > bp.max() else "inside")
+    for side in (-1.0, 1.0):
+        for d in (3, 40, 5000):
+            u = 0.1 + rng.random(d)
+            diag = 1.0 + rng.random(d)
+            if sign == -1:
+                u *= math.sqrt(0.5 / float(np.sum(u * u / diag)))
+            x = side * (5.0 + rng.random(d))
+            prob = ScaledProxProblem(diag, u, sign, 0.5, x, start)
+            beta = assert_root_matches_oracle(reg, prob).beta
+            bp = breakpoints(reg, prob)
+            hits.add("left" if beta < bp.min() else
+                     "right" if beta > bp.max() else "inside")
     assert hits == {"left", "right"}
 
 
-def test_exact_route_bitwise_with_overflowing_breakpoints():
+@pytest.mark.parametrize("sign", [1, -1])
+def test_root_with_overflowing_breakpoints(sign, start):
     # subnormal rank1 entries give |x_j / w_j| beyond the float range: their
     # breakpoints are +-inf and must be ignored, not searched
     rng = make_rng(35)
-    for k in range(20):
-        d = int(rng.choice([6, 80, 20000]))
-        reg, prob = random_problem(rng, d, -1 if k % 2 else 1)
+    for d in (6, 80, 20000):
+        reg, prob = random_problem(rng, d, sign)
         tiny = rng.random(d) < 0.3
         tiny[0] = True
         u = np.where(tiny, 1e-310, prob.rank1)
-        prob = ScaledProxProblem(prob.diag, u, prob.sign, prob.eta, prob.x)
+        prob = ScaledProxProblem(prob.diag, u, sign, prob.eta, prob.x, start)
         with np.errstate(over="ignore"):
             assert breakpoints(reg, prob).size < 2 * d
-            assert_matches_sorted_search(reg, prob)
-            assert_newton_matches_exact(reg, prob)
+            assert_root_matches_oracle(reg, prob)
 
 
-def test_exact_route_median_safeguard_bitwise():
-    # the search only halves the candidates, in no sorted order; it must
-    # still land on the segment the sorted search finds
-    rng = make_rng(36)
-    for k in range(60):
-        d = int(rng.choice([2, 30, 3000]))
-        reg, prob = random_problem(rng, d, -1 if k % 2 else 1)
-        evals, _ = assert_matches_sorted_search(reg, prob)
-        assert evals <= math.ceil(math.log2(2 * d)) + 3
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_nonfinite_point_flows_through(bad, sign, start):
+    # a diverging run hands the prox a non-finite x; g is then inf or nan
+    # and has no root: the prox must return a non-finite y, which the
+    # solver's epoch-end guard turns into a divergence, and raise nothing
+    rng = make_rng(41)
+    for d in (2, 8, 300):
+        reg, prob = random_problem(rng, d, sign)
+        prob.x[rng.integers(d)] = bad
+        prob.beta0 = start
+        with np.errstate(all="ignore"):
+            y, info = scaled_prox_info(reg, prob)
+        assert info.method == "newton"
+        assert not np.isfinite(y).all()
+        assert not math.isfinite(info.residual)
+        assert info.evaluations <= evaluation_bound(d)
 
 
-def test_exact_route_evaluation_count():
-    # median probes over 2d breakpoints, the ends of an outer segment and
-    # the final residual: no more than a binary search at d = 2e4
-    rng = make_rng(37)
-    d = 20000
-    evals = []
-    for k in range(12):
-        reg, prob = random_problem(rng, d, -1 if k % 2 else 1)
-        evals.append(exact_route(reg, prob)[3])
-    assert max(evals) <= math.ceil(math.log2(2 * d)) + 3
-
-
-# ---------------------------------------------------------------- Newton route
+# ---------------------------------------------------------------- Newton steps and warm starts
 
 
 def test_newton_route_evaluation_count():
     # the last evaluation is the root's residual: at d = 2e4 the Newton
-    # route needs fewer evaluations than the exact route above
+    # steps need far fewer evaluations than the median safeguard would
     rng = make_rng(37)
     evals = []
     for k in range(12):
         reg, prob = random_problem(rng, 20000, -1 if k % 2 else 1)
-        evals.append(assert_newton_matches_exact(reg, prob).evaluations)
+        evals.append(assert_root_matches_oracle(reg, prob).evaluations)
     assert max(evals) <= 4
     assert np.median(evals) <= 3
 
@@ -465,80 +451,21 @@ def test_newton_step_across_the_dead_zone():
     u = np.array([math.sqrt(0.9), 0.0])
     prob = ScaledProxProblem(np.ones(2), u, -1, 1.0, np.array([3.0, 0.5]))
     reg = Regularizer(RegKind.L1, 1.0)
-    g, y_of, _ = P._make_rootfn(prob, *prob._parts(1.0)[:2])
+    g, y_of = root_function(reg, prob)
     g0, y0 = g(0.0), y_of(0.0)[0]
     beta1 = -g0 / (1.0 - 0.9)
     assert y0 > 0.0 and y_of(beta1)[0] < 0.0
-    info = assert_newton_matches_exact(reg, prob)
+    info = assert_root_matches_oracle(reg, prob)
     y = scaled_prox(reg, prob)
     assert y[0] == 0.0
     assert info.beta == pytest.approx(-3.0 * math.sqrt(0.9), rel=1e-12)
 
 
-def test_newton_cap_falls_back_to_exact_bytes(monkeypatch):
-    # with no Newton step allowed, auto is the exact route, bit for bit,
-    # and says so
-    monkeypatch.setattr(P, "_NEWTON_ITERS", 0)
-    rng = make_rng(39)
-    for k in range(20):
-        d = int(rng.choice([2, 40, 3000]))
-        reg, prob = random_problem(rng, d, -1 if k % 2 else 1)
-        y, info = scaled_prox_info(reg, prob)
-        ye, beta, res, evals = exact_route(reg, prob)
-        assert info.method == "newton+exact"
-        assert y.tobytes() == ye.tobytes()
-        assert (info.beta, info.residual, info.evaluations) == \
-            (beta, res, evals)
-
-
-def test_newton_miss_hands_over_to_exact(monkeypatch):
-    # a Newton root that misses the guard hands over to the exact route: its
-    # root stands, and both routes' evaluations are counted
-    rng = make_rng(40)
-    reg, prob = random_problem(rng, 50, -1)
-    newton_evals = scaled_prox_info(reg, prob)[1].evaluations
-    y_ref, beta_ref, res_ref = sorted_search(reg, prob)
-    exact_evals = exact_route(reg, prob)[3]
-    solve_newton = P._solve_newton
-
-    def missing(reg, prob):
-        beta, _, y_of, count = solve_newton(reg, prob)
-        return beta, 1.0, y_of, count  # a residual the guard rejects
-
-    monkeypatch.setattr(P, "_solve_newton", missing)
-    y, info = scaled_prox_info(reg, prob)
-    assert info.method == "newton+exact"
-    assert y.tobytes() == y_ref.tobytes()
-    assert (info.beta, info.residual) == (beta_ref, res_ref)
-    assert info.evaluations == newton_evals + exact_evals
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_nonfinite_point_flows_through(bad, monkeypatch):
-    # a diverging run hands the prox a non-finite x; g(0) is then inf or
-    # nan and neither route has a root: the prox must return a non-finite
-    # y, which the solver's epoch-end guard turns into a divergence, not
-    # raise, whether the Newton route stops early or takes no step at all
-    rng = make_rng(41)
-    caps = (P._NEWTON_ITERS, 0)
-    for sign in (1, -1):
-        for d in (2, 8, 300):
-            reg, prob = random_problem(rng, d, sign)
-            prob.x[rng.integers(d)] = bad
-            for iters in caps:
-                monkeypatch.setattr(P, "_NEWTON_ITERS", iters)
-                with np.errstate(all="ignore"):
-                    y, info = scaled_prox_info(reg, prob)
-                assert info.method == "newton+exact"
-                assert not np.isfinite(y).all()
-                assert not math.isfinite(info.residual)
-
-
 @pytest.mark.parametrize("sign", [1, -1])
-def test_warm_start_matches_exact(sign):
+def test_warm_start_matches_oracle(sign):
     # the root does not depend on the start: from the cold root, from far
-    # on either side of it and from +-1e6 the Newton route must land on the
-    # exact route's y without falling back
+    # on either side of it and from +-1e6 the solve must land on the
+    # oracle's y
     rng = make_rng(42 + sign)
     for d in (2, 40, 3000, 20000):
         for _ in range(4 if d < 3000 else 2):
@@ -548,7 +475,7 @@ def test_warm_start_matches_exact(sign):
             far = 1e3 * (1.0 + abs(root))
             for start in (root, root - far, root + far, -1e6, 1e6):
                 prob.beta0 = start
-                assert_newton_matches_exact(reg, prob)
+                assert_root_matches_oracle(reg, prob)
                 assert prob.beta0 == start  # read, never written
 
 
@@ -579,9 +506,9 @@ def test_warm_start_saves_evaluations():
         for k in range(20):
             prob.x = prob.x + 1e-2 * rng.standard_normal(d)
             start, prob.beta0 = prob.beta0, 0.0
-            cold.append(assert_newton_matches_exact(reg, prob).evaluations)
+            cold.append(assert_root_matches_oracle(reg, prob).evaluations)
             prob.beta0 = start
-            info = assert_newton_matches_exact(reg, prob)
+            info = assert_root_matches_oracle(reg, prob)
             warm.append(info.evaluations)
             prob.beta0 = info.beta
         assert np.median(warm) <= 2
@@ -631,11 +558,10 @@ def test_scaled_prox_zeros_are_plus_zero(sign):
     x[:ZERO_CORPUS.size] = ZERO_CORPUS
     u[:4] = 0.0  # coordinates where the inner point is x itself
     t = (prob.eta / prob.diag) * reg.lambda1
-    for rank1, methods in ((np.zeros_like(u), {"diag"}),
-                           (u, {"newton", "newton+exact"})):
+    for rank1, method in ((np.zeros_like(u), "diag"), (u, "newton")):
         p = ScaledProxProblem(prob.diag, rank1, sign, prob.eta, x)
         y, info = scaled_prox_info(reg, p)
-        assert info.method in methods
+        assert info.method == method
         z = x - (sign * info.beta) * (rank1 / prob.diag)
         assert_sign_form_plus_zero(y, z, t)
 

@@ -15,7 +15,10 @@ texts, with and without binary_labels and d; then `prox` and
 `scaled_prox_info` on a fixed corpus (-0, +-1e-300, +-inf and values on
 both sides of the threshold), for lambda1 in {0, 0.3}, under the identity,
 a diagonal metric (u = 0) and a diagonal-plus-rank-one metric of each sign,
-on the whole corpus and on its finite part. It prints one line per run:
+on the whole corpus and on its finite part; where the scaled prox solves
+for a root (lambda1 > 0, u != 0), also with the Newton steps turned off
+(_NEWTON_ITERS = 0, the median safeguard alone) and from the starts
+beta0 = +-1e6. It prints one line per run:
 its name, a SHA-256 hash and its per-epoch objectives ("-" when it has
 none). A solver run's hash covers every TraceRecord field except
 elapsed_ns, the final x bytes and the RunResult counters; a CLI run's
@@ -38,6 +41,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import importlib
 import io
 import math
 import os
@@ -266,6 +270,25 @@ PROX_CORPUS = np.array([-0.0, 0.0, 1e-300, -1e-300, 0.1, -0.1, 0.29, -0.29,
                         -math.inf])
 
 
+# (name suffix, _NEWTON_ITERS or None for its value, beta0) of each root
+# solve: the default, the safeguard alone and two far starts
+ROOT_VARIANTS = [("", None, 0.0), ("/iters=0", 0, 0.0),
+                 ("/beta0=1e6", None, 1e6), ("/beta0=-1e6", None, -1e6)]
+
+
+def _scaled_prox_hash(proxsqn, reg, prob, iters):
+    P = importlib.import_module("proxsqn.prox")
+    default = P._NEWTON_ITERS
+    P._NEWTON_ITERS = default if iters is None else iters
+    try:
+        y, info = proxsqn.scaled_prox_info(reg, prob)
+    finally:
+        P._NEWTON_ITERS = default
+    h = hashlib.sha256(y.tobytes())
+    h.update(repr(info).encode())
+    return h.hexdigest()
+
+
 def prox_runs(proxsqn):
     """(name, hash, []) for the plain and scaled prox on PROX_CORPUS."""
     from proxsqn.prox import prox
@@ -283,12 +306,13 @@ def prox_runs(proxsqn):
                    hashlib.sha256(prox(reg, x, 1.0).tobytes()).hexdigest(),
                    [])
             for name, rank1, sign in metrics:
-                prob = proxsqn.ScaledProxProblem(diag[:k], rank1[:k], sign,
-                                                 1.0, x)
-                y, info = proxsqn.scaled_prox_info(reg, prob)
-                h = hashlib.sha256(y.tobytes())
-                h.update(repr(info).encode())
-                yield f"prox/{name}/l1={lam}/{part}", h.hexdigest(), []
+                root = lam and rank1.any()
+                for suffix, iters, beta0 in (ROOT_VARIANTS if root else
+                                             ROOT_VARIANTS[:1]):
+                    prob = proxsqn.ScaledProxProblem(diag[:k], rank1[:k],
+                                                     sign, 1.0, x, beta0)
+                    yield (f"prox/{name}/l1={lam}/{part}{suffix}",
+                           _scaled_prox_hash(proxsqn, reg, prob, iters), [])
 
 
 def emit():
