@@ -20,10 +20,11 @@ step's root). Its safeguard step is the median of the breakpoints left in
 the bracket; once none is left, a secant and Newton steps on the affine
 piece that holds the root end it (_solve_root states its steps and its
 evaluation bound). A non-finite x, as in a diverging run, makes g inf or
-nan: the route still ends within its bound and returns a non-finite y for
-the caller's divergence guard, not an exception. A sorted breakpoint search
-and a bisection solver, built from the definition of g, serve as its
-oracles in tests/test_prox.py.
+nan, and so can a metric whose u_j^2 / D_j overflows: the route still ends
+within its bound and returns a non-finite y for the caller's divergence
+guard, not an exception. A sorted breakpoint search and a bisection
+solver, built from the definition of g, serve as its oracles in
+tests/test_prox.py.
 """
 
 from __future__ import annotations
@@ -148,7 +149,8 @@ class ScaledProxProblem:
         bitwise-identical to prox(reg, x, eta / c)."""
         if self._lambda1 is None:
             self._w = self.rank1 / self.diag
-            self._slope = (float(self.sign) * self._w) * self.rank1
+            with np.errstate(over="ignore"):  # inf: a Newton step to refuse
+                self._slope = (float(self.sign) * self._w) * self.rank1
             self._abs_u = np.abs(self.rank1)
         if self._lambda1 != lambda1:
             self._lambda1 = lambda1
@@ -177,12 +179,16 @@ def _solve_root(reg, prob):
     bracket's secant point. When both leave the bracket, and for every
     later step, the step goes to the median of the breakpoints still inside
     the bracket, which halves them. Once none is left, g is affine on the
-    bracket: the solve takes its secant point, after one probe 1 + |end|
-    past an open end, and then at most _POLISH Newton steps, which the
-    rounding of a secant from a far end (a start of 1e6, say) needs. It
-    stops as soon as |g| is at its rounding floor. A start at the previous
-    root under the same metric usually lies on the root's piece already, so
-    one Newton step ends the solve. With d coordinates it makes at most
+    bracket: the solve takes the secant point through the end nearer 0 and
+    a probe at most 1 + |that end| from it (none when the other end is that
+    close), then at most _POLISH bracketed Newton steps, which the rounding
+    of a secant from a far end (a start of 1e6, say) needs. A secant from
+    an infinite g, as when g overflows at the probe, is nan, and so is the
+    y it returns. The solve stops as soon as |g| is at its rounding floor,
+    and after the secant also when the Newton steps are spent or leave the
+    bracket. A start at the previous root under the same metric usually
+    lies on the root's piece already, so one Newton step ends the solve.
+    With d coordinates it makes at most
     _NEWTON_ITERS + floor(log2 2d) + 6 evaluations: the start, the Newton
     steps, floor(log2 2d) + 1 medians, the probe, the secant and the polish.
     """
@@ -210,23 +216,19 @@ def _solve_root(reg, prob):
         return beta - gb / (1.0 + slope.dot(active))
 
     lo, hi, g_lo, g_hi = -math.inf, math.inf, None, None
-    beta = float(prob.beta0)
-    if not math.isfinite(beta):
-        beta = 0.0
-    steps, cand = _NEWTON_ITERS, None
+    beta = float(prob.beta0) if math.isfinite(prob.beta0) else 0.0
+    steps, cand, affine = _NEWTON_ITERS, None, False
     while True:
         gb = g(beta)
         if abs(gb) <= floor + _ROUNDING * abs(beta):
-            return y, beta, gb, evals
+            break
         if gb < 0.0:
             lo, g_lo = beta, gb
         else:  # nan too: a non-finite x only ever moves hi
             hi, g_hi = beta, gb
-        if steps:
+        if steps:  # a Newton point that does not move fails the test too
             steps -= 1
             step = newton(beta, gb)
-            if step == beta:  # no representable move
-                return y, beta, gb, evals
             if not lo < step < hi and g_lo is not None and g_hi is not None:
                 step = lo - g_lo * (hi - lo) / (g_hi - g_lo)
             if lo < step < hi:
@@ -239,21 +241,25 @@ def _solve_root(reg, prob):
         # take on the index: boolean indexing is slow on a scattered mask;
         # the comparisons drop the +-inf and nan breakpoints
         cand = cand.take(np.flatnonzero((cand > lo) & (cand < hi)))
-        if not cand.size:
+        if cand.size:
+            beta = float(np.partition(cand, cand.size // 2)[cand.size // 2])
+            continue
+        if affine:  # the polish steps are spent or left the bracket
             break
-        beta = float(np.partition(cand, cand.size // 2)[cand.size // 2])
-    # no breakpoint inside (lo, hi): g is affine on it and past an open end
-    if g_lo is None:
-        g_lo = g(lo := hi - (1.0 + abs(hi)))
-    elif g_hi is None:
-        g_hi = g(hi := lo + (1.0 + abs(lo)))
-    beta = lo if g_hi == g_lo else lo - g_lo * (hi - lo) / (g_hi - g_lo)
-    for _ in range(_POLISH):
-        gb = g(beta)
-        if abs(gb) <= floor + _ROUNDING * abs(beta):
-            return y, beta, gb, evals
-        beta = newton(beta, gb)
-    return y, beta, g(beta), evals
+        # no breakpoint inside (lo, hi): g is affine on it and past an open
+        # end. The secant's second point is at most 1 + |end| from the end
+        # nearer 0 (a tiny u_j can put the other at 1e306)
+        if abs(lo) <= abs(hi):
+            a, g_a, b = lo, g_lo, min(hi, lo + (1.0 + abs(lo)))
+            g_b = g_hi if b == hi else g(b)
+        else:
+            a, b, g_b = max(lo, hi - (1.0 + abs(hi))), hi, g_hi
+            g_a = g_lo if a == lo else g(a)
+        dg = g_b - g_a  # inf or nan where g overflowed or x is not finite
+        beta = (a if dg == 0.0 else a - g_a * (b - a) / dg) \
+            if math.isfinite(dg) else math.nan
+        steps, affine = _POLISH, True
+    return y, beta, gb, evals
 
 
 def scaled_prox_info(reg: Regularizer,

@@ -62,8 +62,8 @@ def breakpoints(reg, prob):
 
 def sorted_search(reg, prob):
     """Exact root oracle: sort every finite breakpoint, binary-search the
-    segment where g changes sign, take the secant on it (extrapolated past
-    an outer breakpoint). Returns (y, beta, residual)."""
+    segment where g changes sign, take the secant on it. Returns
+    (y, beta, residual)."""
     g, y_of = root_function(reg, prob)
     bp = np.sort(breakpoints(reg, prob))  # duplicates are harmless
     if not bp.size:  # g is affine everywhere
@@ -76,14 +76,15 @@ def sorted_search(reg, prob):
         else:
             hi_i = mid
     k = lo_i
-    if k == 0:
-        b_hi = bp[0]
-        b_lo = b_hi - (1.0 + abs(b_hi))
-    elif k == bp.size:
-        b_lo = bp[-1]
-        b_hi = b_lo + (1.0 + abs(b_lo))
+    b_lo = bp[k - 1] if k > 0 else -math.inf
+    b_hi = bp[k] if k < bp.size else math.inf
+    # g is affine on the segment, which is open past an outer breakpoint
+    # and reaches 1e306 where a subnormal u_j puts one: the secant's points
+    # are the end nearer 0 and one at most 1 + |that end| from it
+    if abs(b_lo) <= abs(b_hi):
+        b_hi = min(b_hi, b_lo + (1.0 + abs(b_lo)))
     else:
-        b_lo, b_hi = bp[k - 1], bp[k]
+        b_lo = max(b_lo, b_hi - (1.0 + abs(b_hi)))
     g_lo, g_hi = g(b_lo), g(b_hi)
     beta = b_lo if g_hi == g_lo else b_lo - g_lo * (b_hi - b_lo) / (g_hi - g_lo)
     return y_of(beta), float(beta), g(beta)
@@ -335,7 +336,7 @@ def test_root_and_both_oracles_agree():
 def test_root_matches_sorted_search(sign, start):
     rng = make_rng(30 + sign)
     for d in (2, 3, 5, 17, 50, 400, 3000, 20000):
-        for _ in range(6 if d < 3000 else 1):
+        for _ in range(12 if d < 3000 else 3):
             reg, prob = random_problem(rng, d, sign,
                                        lam=float(rng.choice([0.05, 0.3, 1.5])))
             prob.beta0 = start
@@ -346,7 +347,8 @@ def test_root_matches_sorted_search(sign, start):
 def test_root_with_dead_coordinates(sign, start):
     # about 40% of rank1 is exactly zero, as on a sparse lasso metric
     rng = make_rng(32)
-    for d in (10, 300, 20000):
+    for _ in range(20):
+        d = int(rng.choice([10, 300, 20000]))
         reg, prob = random_problem(rng, d, sign)
         u = prob.rank1 * (rng.random(d) >= 0.4)
         prob = ScaledProxProblem(prob.diag, u, sign, prob.eta, prob.x, start)
@@ -357,7 +359,7 @@ def test_root_with_dead_coordinates(sign, start):
 def test_root_with_duplicate_breakpoints(sign, start):
     rng = make_rng(33)
     reg = Regularizer(RegKind.L1, 0.3)
-    for _ in range(8):
+    for _ in range(20):
         # a few distinct coordinates, each repeated, on a constant diagonal
         base = int(rng.integers(1, 6))
         reps = int(rng.integers(2, 40))
@@ -379,7 +381,8 @@ def test_root_outside_every_breakpoint(sign, start):
     reg = Regularizer(RegKind.L1, 0.1)
     hits = set()
     for side in (-1.0, 1.0):
-        for d in (3, 40, 5000):
+        for _ in range(20):
+            d = int(rng.choice([3, 40, 5000]))
             u = 0.1 + rng.random(d)
             diag = 1.0 + rng.random(d)
             if sign == -1:
@@ -398,7 +401,8 @@ def test_root_with_overflowing_breakpoints(sign, start):
     # subnormal rank1 entries give |x_j / w_j| beyond the float range: their
     # breakpoints are +-inf and must be ignored, not searched
     rng = make_rng(35)
-    for d in (6, 80, 20000):
+    for _ in range(20):
+        d = int(rng.choice([6, 80, 20000]))
         reg, prob = random_problem(rng, d, sign)
         tiny = rng.random(d) < 0.3
         tiny[0] = True
@@ -407,6 +411,35 @@ def test_root_with_overflowing_breakpoints(sign, start):
         with np.errstate(over="ignore"):
             assert breakpoints(reg, prob).size < 2 * d
             assert_root_matches_oracle(reg, prob)
+
+
+# u_0 = 1e10 on D_0 = 1e-290: w_0 = 1e300 is finite but the Newton slope
+# u_0 w_0 overflows, and so does g a unit step from the root. eta * lambda1
+# = 5e-291 and the smallest eigenvalue of H is about 1, so y is x to 1e-290.
+OVERFLOWING_SLOPES = [([1e-290], [1e10], [1.0]), ([1e-290], [1e10], [-2.0]),
+                      ([1e-290, 1.0], [1e10, 1.0], [1.0, 0.0]),
+                      ([1e-290, 1.0], [1e10, 1e-3], [-2.0, 0.0])]
+
+
+def test_overflowing_slope_never_gives_a_finite_wrong_y(start):
+    # the one-coordinate roots lie past every breakpoint, where only a
+    # probe that overflows g would give the secant; the second coordinate
+    # brackets the root with finite g
+    reg = Regularizer(RegKind.L1, 0.5)
+    finite = []
+    for diag, u, x in OVERFLOWING_SLOPES:
+        prob = ScaledProxProblem(diag, u, 1, 1e-290, x, start)
+        with np.errstate(all="ignore"):
+            y, info = scaled_prox_info(reg, prob)
+        assert info.evaluations <= evaluation_bound(len(x))
+        finite.append(bool(np.isfinite(y).all()))
+        if finite[-1]:
+            assert np.max(np.abs(y - prob.x)) <= 1e-12
+            floor = 16 * np.finfo(float).eps * float(np.abs(u) @ np.abs(x))
+            assert abs(info.residual) <= floor
+        else:
+            assert not math.isfinite(info.residual)
+    assert finite == [False, False, True, True]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
