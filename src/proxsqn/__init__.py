@@ -10,9 +10,9 @@ from .errors import ConfigError, ConvergenceError, DivergenceError, \
     EnumerationLimitError, LibsvmFormatError, NegativeCurvatureError, \
     SecantError
 from .metric import CurvaturePair, Metric, MetricBounds, IDENTITY_BOUNDS, \
-    apply_inverse, build_metric, metric_as_splitting, metric_spectrum_bounds
-from .model import BatchHessianSpectrum, Dataset, LossKind, SmoothObjective, \
-    dense_batch_hessian, full_gradient, hessian_vec, smooth_value
+    apply_inverse, build_metric, metric_as_splitting
+from .model import Dataset, LossKind, SmoothObjective, dense_batch_hessian, \
+    full_gradient, hessian_vec, smooth_value
 # the plain prox function is not re-exported: it would shadow the module
 # proxsqn.prox, so it is imported as `from proxsqn.prox import prox`
 from .prox import RegKind, Regularizer, RootInfo, ScaledProxProblem, \

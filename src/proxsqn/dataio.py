@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import LibsvmFormatError
 from .model import LOSSES, Dataset, LossKind
-from .sampler import _floyd_sample, check_seed, make_rng
+from .sampler import _floyd_rows, _floyd_sample, check_seed, make_rng
 
 _TOKEN = re.compile(r"\S+")
 _BLOCK_LINES = 1000
@@ -222,6 +222,14 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, np.ndarray]:
     column energies across the condition target. Squared loss labels are
     b_i = a_i'x + noise * xi_i; logistic labels are the sign of that margin.
     Returns the dataset and the planted point.
+
+    The stream's words are fixed, so that a spec and seed give the same
+    bytes in every version: one _floyd_sample call for the support and its
+    normals; then, per row, its k = round(density * d) bounded draws
+    followed by its k normals; then n noise normals. Only those two calls
+    per row run row by row. Floyd's rule, the sort (row i's t-th normal
+    scales its t-th smallest index) and the margins, each the dot product
+    a_i'x that a per-row loop would take, run once for all rows.
     """
     rng = make_rng(spec.seed)
     d, n = spec.d, spec.n
@@ -233,16 +241,20 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, np.ndarray]:
     x_true = np.zeros(d)
     x_true[support] = rng.standard_normal(support.size)
     k = max(1, int(round(spec.density * d)))
-    rows = []
-    margins = np.empty(n)
+    bounds = np.arange(d - k + 1, d + 1)
+    idx = np.empty((n, k), np.int64)
+    vals = np.empty((n, k))
     for i in range(n):
-        idx = _floyd_sample(rng, d, k)
-        val = rng.standard_normal(k) * col_scale[idx]
-        rows.append((idx, val))
-        margins[i] = val @ x_true[idx]
+        idx[i] = rng.integers(0, bounds)
+        rng.standard_normal(out=vals[i])
+    _floyd_rows(idx, d)
+    vals *= col_scale[idx]
+    # a stack of (1, k) @ (k, 1) products: each is the 1-D dot product
+    margins = np.matmul(vals[:, None, :], x_true[idx][:, :, None]).ravel()
     margins += spec.noise * rng.standard_normal(n)
     if LOSSES[spec.loss].binary_labels:
         labels = np.where(margins > 0.0, 1.0, -1.0)
     else:
         labels = margins
-    return Dataset.from_rows(rows, labels, d), x_true
+    return Dataset(np.arange(0, n * k + 1, k), idx.ravel(), vals.ravel(),
+                   labels, d), x_true

@@ -23,10 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NegativeCurvatureError, SecantError
-from .model import BatchHessianSpectrum
 
 _SKIP_EPS_DEFAULT = 1e-8
-_LOG_SPACE_DIM = 30
 _SECANT_GUARD = 1e-8
 
 
@@ -141,42 +139,3 @@ class MetricBounds:
 
 
 IDENTITY_BOUNDS = MetricBounds(1.0, 1.0)
-
-
-def metric_spectrum_bounds(spectrum: BatchHessianSpectrum, alpha: float,
-                    d: int) -> MetricBounds:
-    """Worst-case metric bounds from batch-Hessian extremes (lam, Lam).
-
-        Gamma = d Lam / alpha
-        gamma = [a(a-2) lam^{d+1} + a(1-a) lam^d Lam + Lam^2 lam^{d-1}]
-                / [d^{d-1} Lam^d lam^2 (1-a)]
-
-    The numerator factors as lam^{d-1} C with C = a(a-2) lam^2 + a(1-a) lam
-    Lam + Lam^2 >= lam^2 (1-a) > 0, so gamma > 0 whenever lam > 0; for
-    d > 30 the ratio is evaluated in log space to dodge overflow. gamma is
-    wildly conservative in d and is used for advisory checks only; the hard
-    acceptance bound is sigma_max(H) <= Gamma.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if spectrum.degenerate or spectrum.lambda_lo <= 0.0:
-        return MetricBounds(0.0, float("inf"), degenerate=True)
-    lam, big = spectrum.lambda_lo, spectrum.lambda_hi
-    a = alpha
-    big_gamma = d * big / a
-    c = a * (a - 2.0) * lam * lam + a * (1.0 - a) * lam * big + big * big
-    if c <= 0.0:
-        return MetricBounds(0.0, big_gamma, degenerate=True)
-    if d <= _LOG_SPACE_DIM:
-        gamma = (lam ** (d - 1) * c) / (d ** (d - 1) * big ** d
-                                        * lam * lam * (1.0 - a))
-    else:
-        log_gamma = ((d - 1) * math.log(lam) + math.log(c)
-                     - (d - 1) * math.log(d) - d * math.log(big)
-                     - 2.0 * math.log(lam) - math.log(1.0 - a))
-        gamma = math.exp(log_gamma)
-    if gamma <= 0.0 or not math.isfinite(gamma):
-        return MetricBounds(0.0, big_gamma, degenerate=True)
-    return MetricBounds(gamma, big_gamma)

@@ -155,19 +155,6 @@ class Dataset:
         return self._csr
 
 
-@dataclass
-class BatchHessianSpectrum:
-    """Extreme eigenvalues of a batch-sum Hessian sum_{i in T} hess f_i."""
-
-    lambda_lo: float
-    lambda_hi: float
-    degenerate: bool = False
-
-    def __post_init__(self):
-        if not self.degenerate and not (0.0 < self.lambda_lo <= self.lambda_hi):
-            raise ValueError("spectrum requires 0 < lambda_lo <= lambda_hi")
-
-
 @dataclass(eq=False)
 class SmoothObjective:
     """F(x) = (1/n) sum f_i(x) with per-component smoothness constants.

@@ -8,13 +8,11 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .metric import Metric
-from .model import LOSSES, BatchHessianSpectrum, SmoothObjective, \
-    batch_slabs, dense_batch_hessian
+from .model import LOSSES, SmoothObjective, batch_slabs
 from .prox import Regularizer, ScaledProxProblem
 
-__all__ = ["component_gradient", "batch_gradient", "batch_spectrum",
-           "dense_inverse", "dense_metric", "subproblem_oracle",
-           "kkt_residual"]
+__all__ = ["component_gradient", "batch_gradient", "dense_inverse",
+           "dense_metric", "subproblem_oracle", "kkt_residual"]
 
 
 def component_gradient(obj: SmoothObjective, i: int, x: np.ndarray) -> np.ndarray:
@@ -39,22 +37,6 @@ def batch_gradient(obj: SmoothObjective, batch: np.ndarray, x: np.ndarray) -> np
     acc = np.bincount(cols, weights=coef[rid] * vals, minlength=obj.d)
     acc += (batch.size * obj.ridge) * x
     return acc
-
-
-def batch_spectrum(obj: SmoothObjective, batch: np.ndarray,
-                   x: np.ndarray) -> BatchHessianSpectrum:
-    """Extreme eigenvalues (lambda_lo, lambda_hi) of the batch-sum Hessian.
-
-    A numerically nonpositive lambda_lo (possible only at ridge = 0) is
-    reported with the degenerate flag instead of raising.
-    """
-    H = dense_batch_hessian(obj, batch, x)
-    eigs = np.linalg.eigvalsh(H)
-    lo, hi = float(eigs[0]), float(eigs[-1])
-    tiny = 1e-12 * max(1.0, abs(hi))
-    if lo <= tiny:
-        return BatchHessianSpectrum(max(lo, 0.0), hi, degenerate=True)
-    return BatchHessianSpectrum(lo, hi)
 
 
 def dense_inverse(metric: Metric) -> np.ndarray:

@@ -18,7 +18,7 @@ All draws consume the stream of one numpy Philox generator, so runs are
 reproducible from the 64-bit seed alone. Sampler.draw_epoch(m, snapshot)
 takes the words of m batches in one call, in the order m draw() calls take
 them, so the batches are bit for bit the same; uniform subsets come from
-_floyd_block, Floyd's rule applied one column at a time to all m rows.
+_floyd_block, which applies Floyd's rule to all m rows at once.
 gather_batches, the one builder of a Batch, gathers their rows in blocks,
 and with each block the estimator's terms that depend on the snapshot alone
 (margins a_i'xt, the loss's snapshot part, ridge * sum_j 1/w_j), once per
@@ -123,16 +123,39 @@ def _floyd_block(rng, n, b, m):
     """m uniform size-b subsets as the sorted rows of an (m, b) array.
 
     Row for row, and word for word of the stream, m _floyd_sample calls:
-    one call takes the m*b words with the same bounds in the same order.
-    Floyd's rule (entry j becomes n-b+j when it repeats an earlier entry
-    of its row) is then applied one column at a time to all rows.
+    one call takes the m*b words with the same bounds in the same order,
+    and _floyd_rows resolves them.
     """
+    bounds = np.tile(np.arange(n - b + 1, n + 1), m)
+    return _floyd_rows(rng.integers(0, bounds).reshape(m, b), n)
+
+
+def _floyd_rows(draws, n):
+    """Floyd's rule on the rows of an (m, b) int64 array, in place: column j
+    holds a draw from [0, n - b + j], and it becomes n - b + j when it
+    repeats an entry of its row as the rule has left it. Returns draws with
+    each row sorted, one uniform size-b subset of range(n) per row.
+
+    Every draw before column j is in the row's set by then (as drawn, or it
+    had repeated a member), so column j repeats a member when it repeats an
+    earlier draw, which one stable sort per row finds, or when it equals
+    n - b + i for an earlier column i that repeated, which is checked one
+    column at a time for all rows.
+    """
+    m, b = draws.shape
     lo = n - b
-    out = rng.integers(0, np.tile(np.arange(lo + 1, n + 1), m)).reshape(m, b)
+    order = np.argsort(draws, axis=1, kind="stable")
+    ranked = np.take_along_axis(draws, order, axis=1)
+    hit = np.zeros((m, b), bool)
+    np.put_along_axis(hit, order[:, 1:], ranked[:, 1:] == ranked[:, :-1],
+                      axis=1)
     for j in range(1, b):
-        out[(out[:, :j] == out[:, j:j + 1]).any(axis=1), j] = lo + j
-    out.sort(axis=1)
-    return out
+        i = draws[:, j] - lo
+        late = (i >= 0) & (i < j)
+        hit[late, j] |= hit[late, i[late]]
+    np.copyto(draws, np.arange(lo, n), where=hit)
+    draws.sort(axis=1)
+    return draws
 
 
 class Sampler:

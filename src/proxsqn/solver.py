@@ -181,43 +181,47 @@ def _run_inner_loop(obj, reg, config, p_star):
     scaled_calls = 0
     first_scaled: int | None = None
     for s in range(1, config.epochs + 1):
-        snapshot = make_snapshot(obj, x)
-        grad_evals += obj.n
-        xsum = np.zeros(d)
-        # the epoch's m gradient batches: the words m draw() calls would take
-        batches = sampler.draw_epoch(config.m, snapshot)
-        for j, batch in enumerate(batches):
-            g = (s - 1) * config.m + j + 1
-            if use_metric:
-                window[(g - 1) % Z] = x
-            v = vr_gradient(obj, snapshot, batch, x)
-            grad_evals += obj.n if batch.full else 2 * batch.indices.size
-            # x - eta * (...) in place, bit for bit: v is this step's own
-            # array, and the scaled step's point is overwritten every step
-            if metric is None:
-                np.subtract(x, np.multiply(v, eta, out=v), out=v)
-                x = prox(reg, v, eta)
-            else:
-                np.subtract(x, np.multiply(apply_inverse(metric, v), eta,
-                                           out=point), out=point)
-                # through the module, so that wrappers of scaled_prox_info
-                # (the benchmark's tracer) see every call
-                x, info = prox_module.scaled_prox_info(reg, prox_prob)
-                prox_prob.beta0 = info.beta
-                scaled_calls += 1
-                if first_scaled is None:
-                    first_scaled = g
-            xsum += x
-            if not (use_metric and g % Z == 0):
-                continue
-            xhat = window.mean(axis=0)
-            if xhat_prev is None:
-                xhat_prev = xhat
-                continue
-            sr, xhat_prev = xhat - xhat_prev, xhat
-            # the norms and the splitting are checked for finiteness right
-            # after they are made: a diverging run raises, and warns nowhere
-            with np.errstate(over="ignore", invalid="ignore"):
+        # one errstate per epoch, not per step: x may overflow or turn nan
+        # inside an epoch, and the anchor and epoch-end guards raise on it
+        with np.errstate(over="ignore", invalid="ignore"):
+            snapshot = make_snapshot(obj, x)
+            grad_evals += obj.n
+            xsum = np.zeros(d)
+            # the epoch's m gradient batches: the words of m draw() calls
+            batches = sampler.draw_epoch(config.m, snapshot)
+            for j, batch in enumerate(batches):
+                g = (s - 1) * config.m + j + 1
+                if use_metric:
+                    window[(g - 1) % Z] = x
+                v = vr_gradient(obj, snapshot, batch, x)
+                grad_evals += (obj.n if batch.full
+                               else 2 * batch.indices.size)
+                # x - eta * (...) in place, bit for bit: v is this step's
+                # own array, and the scaled step's point is overwritten
+                # every step
+                if metric is None:
+                    np.subtract(x, np.multiply(v, eta, out=v), out=v)
+                    x = prox(reg, v, eta)
+                else:
+                    np.subtract(x, np.multiply(apply_inverse(metric, v),
+                                               eta, out=point), out=point)
+                    # through the module, so that wrappers of
+                    # scaled_prox_info (the benchmark's tracer) see every call
+                    x, info = prox_module.scaled_prox_info(reg, prox_prob)
+                    prox_prob.beta0 = info.beta
+                    scaled_calls += 1
+                    if first_scaled is None:
+                        first_scaled = g
+                xsum += x
+                if not (use_metric and g % Z == 0):
+                    continue
+                xhat = window.mean(axis=0)
+                if xhat_prev is None:
+                    xhat_prev = xhat
+                    continue
+                sr, xhat_prev = xhat - xhat_prev, xhat
+                # the norms and the splitting are checked for finiteness
+                # right after they are made: a diverging run raises here
                 sr_norm = float(np.linalg.norm(sr))
                 xhat_norm = float(np.linalg.norm(xhat))
                 # a non-finite xhat at the first anchor shows up in s_r
@@ -237,15 +241,16 @@ def _run_inner_loop(obj, reg, config, p_star):
                 if metric.anomalous:
                     anomalies += 1
                 diag, rank1, sign = metric_as_splitting(metric)
-            # a non-finite y_r, or products of s_r and y_r that overflow,
-            # leave 1/(alpha tau) or u inf/nan
-            if not (np.isfinite(diag).all() and diag.all()
-                    and np.isfinite(rank1).all()):
-                raise DivergenceError(
-                    f"curvature pair not finite at iteration {g}")
-            prox_prob = ScaledProxProblem(diag, rank1, sign, eta, point)
-            rebuilds += 1
-        x = xsum / config.m
+                # a non-finite y_r, or products of s_r and y_r that overflow,
+                # leave 1/(alpha tau) or u inf/nan
+                if not (np.isfinite(diag).all() and diag.all()
+                        and np.isfinite(rank1).all()):
+                    raise DivergenceError(
+                        f"curvature pair not finite at iteration {g}")
+                prox_prob = ScaledProxProblem(diag, rank1, sign, eta,
+                                              point)
+                rebuilds += 1
+            x = xsum / config.m
         record(s, s * config.m, x, grad_evals, rebuilds)
     return RunResult(x, records, grad_evals, rebuilds, anomalies,
                      scaled_calls, first_scaled)

@@ -381,6 +381,31 @@ def test_run_divergence_at_anchor_exit_2(runner, tmp_path, eta, what):
     assert not (out / "exp_sqn.csv").exists()
 
 
+def test_run_overflow_inside_an_epoch_prints_no_warning(tmp_path):
+    # criterion 10's instance at eta = 1e6: x overflows within the first
+    # epoch; the epoch-end and anchor guards report it, numpy prints nothing
+    text = (
+        "loss = squared_error\nridge = 0.1\nlambda1 = 0.01\n"
+        "synthetic.n = 60\nsynthetic.d = 8\nsynthetic.density = 0.5\n"
+        "synthetic.condition = 4.0\nsynthetic.noise = 0.1\n"
+        "synthetic.seed = 12\nsolvers = svrg, sqn\n"
+        "solver.svrg.kind = prox_svrg\nsolver.sqn.kind = prox_sqn\n")
+    for name in ("svrg", "sqn"):
+        text += (f"solver.{name}.epochs = 4\nsolver.{name}.eta = 1e6\n"
+                 f"solver.{name}.m = 600\nsolver.{name}.b = 5\n")
+    text += "solver.sqn.b_hessian = 10\nsolver.sqn.metric_period = 5\n"
+    cfg = write_config(tmp_path, text)
+    src = os.path.dirname(os.path.dirname(proxsqn.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "proxsqn.cli", "--output",
+                           str(tmp_path / "out"), "run", cfg],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "svrg               diverged: " in proc.stdout
+    assert "sqn                diverged: " in proc.stdout
+    assert "Warning" not in proc.stderr
+
+
 def test_run_csv_rename_failure_exit_3(runner, tmp_path, monkeypatch):
     # a failed rename leaves neither the CSV nor its partial file
     cfg = write_config(tmp_path, CONFIG)

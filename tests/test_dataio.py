@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from libsvm_oracle import parse_libsvm as oracle_parse
+from synthetic_oracle import generate_synthetic as oracle_generate
 from proxsqn import dataio
 from proxsqn import (
     Dataset,
@@ -260,6 +261,29 @@ def test_generate_deterministic():
         SyntheticSpec(n=25, d=10, density=0.4, condition=5.0, noise=0.2,
                       seed=10))
     assert not datasets_equal(ds1, ds3)
+
+
+# d = 1; k = 1; k = d (the draw bounds start at 1); k = 100, past the
+# unrolled part of a BLAS dot product; a sparse_wide-shaped instance
+@pytest.mark.parametrize("kw", [
+    dict(n=40, d=1),
+    dict(n=60, d=30, density=1 / 30, condition=9.0),
+    dict(n=50, d=12, density=1.0, condition=3.0),
+    dict(n=80, d=500, density=0.2, condition=16.0),
+    dict(n=2000, d=20000, density=5e-4, condition=16.0),
+])
+@pytest.mark.parametrize("loss", list(LossKind))
+@pytest.mark.parametrize("seed", [0, 7, 2016])
+def test_generate_matches_row_loop_oracle(kw, loss, seed):
+    spec = SyntheticSpec(noise=0.2, seed=seed, loss=loss, **kw)
+    ds, x_true = generate_synthetic(spec)
+    ref, ref_x = oracle_generate(spec)
+    assert ds.d == ref.d
+    for name in ("indptr", "indices", "values", "labels"):
+        got, want = getattr(ds, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), \
+            name
+    assert x_true.tobytes() == ref_x.tobytes()
 
 
 def test_generate_density_controls_row_nnz():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from proxsqn import (
-    BatchHessianSpectrum,
     CurvaturePair,
     Metric,
     MetricBounds,
@@ -12,7 +11,6 @@ from proxsqn import (
     build_metric,
     make_rng,
     metric_as_splitting,
-    metric_spectrum_bounds,
 )
 from proxsqn.oracles import dense_inverse
 
@@ -128,44 +126,7 @@ def test_splitting_of_skipped_metric():
     assert np.array_equal(rank1, np.zeros(3))
 
 
-# --------------------------------------------------------------- spectrum bounds
-
-
-def test_spectrum_bounds_unit_example():
-    # d = 1, alpha = 0.5, lambda = Lambda = 1: gamma = 1, Gamma = 2
-    b = metric_spectrum_bounds(BatchHessianSpectrum(1.0, 1.0), 0.5, 1)
-    assert b.big_gamma == pytest.approx(2.0)
-    assert b.gamma == pytest.approx(1.0)
-    assert not b.degenerate
-
-
-def test_spectrum_bounds_monotone_gamma():
-    # Gamma = d Lambda / alpha grows with d and Lambda, shrinks with alpha
-    s = BatchHessianSpectrum(0.5, 2.0)
-    assert metric_spectrum_bounds(s, 0.5, 4).big_gamma \
-        == pytest.approx(2 * metric_spectrum_bounds(s, 0.5, 2).big_gamma)
-    assert metric_spectrum_bounds(s, 0.25, 2).big_gamma \
-        == pytest.approx(2 * metric_spectrum_bounds(s, 0.5, 2).big_gamma)
-
-
-def test_spectrum_bounds_log_space_consistent():
-    # at lambda = Lambda = 1 the ratio is computable either way for d > 30
-    s = BatchHessianSpectrum(1.0, 1.0)
-    b = metric_spectrum_bounds(s, 0.5, 31)
-    a = 0.5
-    c = a * (a - 2.0) + a * (1.0 - a) + 1.0
-    direct = c / (31 ** 30 * (1.0 - a))
-    assert b.gamma == pytest.approx(direct, rel=1e-12)
-
-
-def test_spectrum_bounds_degenerate():
-    b = metric_spectrum_bounds(BatchHessianSpectrum(0.0, 1.0, degenerate=True),
-                        0.5, 3)
-    assert b.degenerate
-    with pytest.raises(ValueError, match="alpha"):
-        metric_spectrum_bounds(BatchHessianSpectrum(1.0, 2.0), 1.0, 3)
-    with pytest.raises(ValueError, match="d"):
-        metric_spectrum_bounds(BatchHessianSpectrum(1.0, 2.0), 0.5, 0)
+# --------------------------------------------------------------- metric bounds
 
 
 def test_metric_bounds_validation():
@@ -185,6 +146,5 @@ def test_metric_sigma_max_within_planned_bound():
         m = build_metric(CurvaturePair(s, B @ s), alpha)
         H = np.linalg.inv(dense_inverse(m))
         sigma = np.linalg.eigvalsh(H)[-1]
-        bound = metric_spectrum_bounds(BatchHessianSpectrum(eigs[0], eigs[-1]),
-                                alpha, d).big_gamma
-        assert sigma <= bound + 1e-9
+        # Gamma = d Lambda / alpha, as criterion 02 plans it
+        assert sigma <= d * eigs[-1] / alpha + 1e-9

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from proxsqn import (
-    BatchHessianSpectrum,
     Dataset,
     LossKind,
     SmoothObjective,
@@ -13,7 +12,7 @@ from proxsqn import (
     smooth_value,
 )
 from proxsqn.model import batch_margins, batch_slabs
-from proxsqn.oracles import batch_gradient, batch_spectrum, component_gradient
+from proxsqn.oracles import batch_gradient, component_gradient
 
 
 def num_grad(f, x, h=1e-6):
@@ -225,29 +224,6 @@ def test_dense_hessian_limit():
     obj = SmoothObjective.build(ds, LossKind.SQUARED_ERROR, ridge=0.1)
     with pytest.raises(ValueError, match="d = 257 exceeds dense limit 256"):
         dense_batch_hessian(obj, np.array([0]), np.zeros(obj.d))
-
-
-def test_batch_spectrum_bounds(sq_small):
-    x = np.zeros(sq_small.d)
-    T = np.arange(sq_small.n)
-    spec = batch_spectrum(sq_small, T, x)
-    assert not spec.degenerate
-    H = dense_batch_hessian(sq_small, T, x)
-    eigs = np.linalg.eigvalsh(H)
-    assert spec.lambda_lo == pytest.approx(eigs[0])
-    assert spec.lambda_hi == pytest.approx(eigs[-1])
-
-
-def test_batch_spectrum_degenerate_without_ridge():
-    # single rank-one row at ridge 0: singular batch Hessian
-    ds = Dataset.from_rows([(np.array([0, 1]), np.array([1.0, 1.0]))],
-                           np.array([1.0]), 2)
-    obj = SmoothObjective.build(ds, LossKind.SQUARED_ERROR, ridge=0.0)
-    spec = batch_spectrum(obj, np.array([0]), np.zeros(2))
-    assert spec.degenerate
-    assert spec.lambda_lo == 0.0
-    with pytest.raises(ValueError, match="lambda_lo"):
-        BatchHessianSpectrum(0.0, 1.0)
 
 
 def test_smooth_value_squared_by_hand():

@@ -105,9 +105,11 @@ def test_floyd_sample_shape_and_range():
             assert s.min() >= 0 and s.max() < n
 
 
-@pytest.mark.parametrize("n,b", [(12, 5), (1000, 10), (10, 10), (7, 1)])
+@pytest.mark.parametrize("n,b", [(12, 5), (1000, 10), (10, 10), (7, 1),
+                                 (30, 29), (40, 20)])
 def test_floyd_block_is_the_floyd_sample_loop(n, b):
-    # 300 rows: at (1000, 10) about 13 of them hold a collision
+    # 300 rows: at (1000, 10) about 13 of them hold a collision; at (30, 29)
+    # and (40, 20) a draw often repeats the replacement of an earlier one
     m = 300
     rng, oracle = make_rng(47), make_rng(47)
     block = _floyd_block(rng, n, b, m)

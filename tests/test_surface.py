@@ -6,9 +6,8 @@ import proxsqn
 import proxsqn.oracles
 from proxsqn import ConfigError, SolverConfig, parse_config
 
-ORACLES = {"component_gradient", "batch_gradient", "batch_spectrum",
-           "dense_inverse", "dense_metric", "subproblem_oracle",
-           "kkt_residual"}
+ORACLES = {"component_gradient", "batch_gradient", "dense_inverse",
+           "dense_metric", "subproblem_oracle", "kkt_residual"}
 
 
 def test_oracles_live_outside_the_package_namespace():
