@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import LibsvmFormatError
 from .model import LOSSES, Dataset, LossKind
-from .sampler import _floyd_rows, _floyd_sample, check_seed, make_rng
+from .sampler import _floyd_block, _floyd_rows, check_seed, make_rng
 
 _TOKEN = re.compile(r"\S+")
 _BLOCK_LINES = 1000
@@ -224,8 +224,8 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, np.ndarray]:
     Returns the dataset and the planted point.
 
     The stream's words are fixed, so that a spec and seed give the same
-    bytes in every version: one _floyd_sample call for the support and its
-    normals; then, per row, its k = round(density * d) bounded draws
+    bytes in every version: the support's draws (one _floyd_block row) and
+    its normals; then, per row, its k = round(density * d) bounded draws
     followed by its k normals; then n noise normals. Only those two calls
     per row run row by row. Floyd's rule, the sort (row i's t-th normal
     scales its t-th smallest index) and the margins, each the dot product
@@ -237,7 +237,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, np.ndarray]:
         col_scale = spec.condition ** (-np.arange(d) / (2.0 * (d - 1)))
     else:
         col_scale = np.ones(1)
-    support = _floyd_sample(rng, d, max(1, int(round(0.2 * d))))
+    support = _floyd_block(rng, d, max(1, int(round(0.2 * d))), 1)[0]
     x_true = np.zeros(d)
     x_true[support] = rng.standard_normal(support.size)
     k = max(1, int(round(spec.density * d)))

@@ -105,26 +105,12 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
-def _floyd_sample(rng, n, b):
-    """Uniform size-b subset without replacement in exactly b draws.
-
-    The draw bounds are data-independent, so all b words come from one
-    vectorized call; only the collision bookkeeping is sequential.
-    """
-    lo = n - b
-    draws = rng.integers(0, np.arange(lo + 1, n + 1))
-    chosen = set()
-    for j, t in enumerate(draws.tolist()):
-        chosen.add(t if t not in chosen else lo + j)
-    return np.array(sorted(chosen), dtype=np.int64)
-
-
 def _floyd_block(rng, n, b, m):
-    """m uniform size-b subsets as the sorted rows of an (m, b) array.
+    """m uniform size-b subsets as the sorted rows of an (m, b) array, by
+    Floyd's rule: b draws per subset, the j-th from [0, n - b + j].
 
-    Row for row, and word for word of the stream, m _floyd_sample calls:
-    one call takes the m*b words with the same bounds in the same order,
-    and _floyd_rows resolves them.
+    One call takes the m*b words, row after row, and _floyd_rows resolves
+    them; a row is the subset of one b-draw set loop on the same words.
     """
     bounds = np.tile(np.arange(n - b + 1, n + 1), m)
     return _floyd_rows(rng.integers(0, bounds).reshape(m, b), n)
@@ -140,7 +126,7 @@ def _floyd_rows(draws, n):
     had repeated a member), so column j repeats a member when it repeats an
     earlier draw, which one stable sort per row finds, or when it equals
     n - b + i for an earlier column i that repeated, which is checked one
-    column at a time for all rows.
+    column at a time for all rows, in the columns that hold a draw >= n - b.
     """
     m, b = draws.shape
     lo = n - b
@@ -149,7 +135,7 @@ def _floyd_rows(draws, n):
     hit = np.zeros((m, b), bool)
     np.put_along_axis(hit, order[:, 1:], ranked[:, 1:] == ranked[:, :-1],
                       axis=1)
-    for j in range(1, b):
+    for j in (np.flatnonzero((draws[:, 1:] >= lo).any(axis=0)) + 1).tolist():
         i = draws[:, j] - lo
         late = (i >= 0) & (i < j)
         hit[late, j] |= hit[late, i[late]]

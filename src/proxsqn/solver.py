@@ -11,18 +11,19 @@ ProxSQN epoch structure (epochs s = 1..S, inner iterations j = 0..m-1, global
   * each inner step takes its batch, forms the variance-reduced estimate v,
     and updates by a plain prox step during warmup (g <= 2Z) or by the
     scaled prox step x+ = prox_{eta R}^{H}(x - eta H^{-1} v) afterwards;
-  * every Z global iterations the trailing window of Z inner points is
-    averaged; the first trigger only seeds the anchor, each later trigger
-    forms s_r = xhat_r - xhat_{r-1}, takes the next uniform Hessian batch
-    T_r of size b_H (drawn ahead in blocks), sets y_r = (sum-batch Hessian
-    at xhat_r) s_r, and rebuilds the metric, so the first metric exists
-    exactly when warmup ends at g = 2Z;
+  * _Curvature owns the anchors and the metric: every Z global iterations
+    it averages the points that the last Z steps started from; the first
+    trigger only seeds the anchor, each later trigger forms s_r = xhat_r -
+    xhat_{r-1}, takes the next uniform Hessian batch T_r of size b_H (drawn
+    ahead in blocks), sets y_r = (sum-batch Hessian at xhat_r) s_r, and
+    rebuilds the metric, so the first metric exists exactly when warmup
+    ends at g = 2Z;
   * the epoch ends with x reset to the inner-iterate average xt_s, which is
     also the traced point.
 
-ProxSVRG is the same loop without the metric, and keeps no window. Hessian
-batches come from a stream of their own, so ProxSQN and ProxSVRG draw the
-same gradient batches.
+ProxSVRG is the same loop without the metric: its _Curvature never updates.
+Hessian batches come from a stream of their own, so ProxSQN and ProxSVRG
+draw the same gradient batches.
 ProxGD (ISTA), FISTA and reference_solution share one full-gradient
 proximal-gradient iteration, with FISTA momentum and function-value restart
 as internal switches; a dense-Hessian proximal Newton is the last baseline.
@@ -154,30 +155,14 @@ def _recorder(obj, reg, p_star):
 
 
 def _run_inner_loop(obj, reg, config, p_star):
-    use_metric = config.kind is SolverKind.PROX_SQN
-    d = obj.d
-    x = np.zeros(d)
+    # ProxSVRG never updates the curvature block, so it keeps no metric
+    sqn, curv = config.kind is SolverKind.PROX_SQN, _Curvature(obj, config)
+    x = np.zeros(obj.d)
     records, record = _recorder(obj, reg, p_star)
-    scheme = SamplingScheme(config.scheme, config.b, config.seed)
-    # independent streams for gradient batches and Hessian batches, so the
-    # gradient stream is identical whether or not metric rebuilding runs
-    sampler = Sampler(obj, scheme)
-    Z = config.metric_period
-    hess_batches = _hessian_batches(
-        make_rng(config.seed ^ 0x9E3779B97F4A7C15), obj.n,
-        min(config.b_hessian, obj.n), min(config.m // Z + 1, 256))
+    sampler = Sampler(obj, SamplingScheme(config.scheme, config.b,
+                                          config.seed))
     eta = config.eta
-    window = np.zeros((Z, d))
-    xhat_prev: np.ndarray | None = None
-    metric: Metric | None = None
-    # one problem object per metric: the (diag, rank1, sign) part is
-    # validated at rebuild time; per step the query point is written into
-    # its row `point` and the Newton start is the previous root
-    prox_prob: ScaledProxProblem | None = None
-    point = np.zeros(d)
     grad_evals = 0
-    rebuilds = 0
-    anomalies = 0
     scaled_calls = 0
     first_scaled: int | None = None
     for s in range(1, config.epochs + 1):
@@ -186,83 +171,107 @@ def _run_inner_loop(obj, reg, config, p_star):
         with np.errstate(over="ignore", invalid="ignore"):
             snapshot = make_snapshot(obj, x)
             grad_evals += obj.n
-            xsum = np.zeros(d)
+            xsum = np.zeros(obj.d)
             # the epoch's m gradient batches: the words of m draw() calls
             batches = sampler.draw_epoch(config.m, snapshot)
             for j, batch in enumerate(batches):
                 g = (s - 1) * config.m + j + 1
-                if use_metric:
-                    window[(g - 1) % Z] = x
                 v = vr_gradient(obj, snapshot, batch, x)
                 grad_evals += (obj.n if batch.full
                                else 2 * batch.indices.size)
                 # x - eta * (...) in place, bit for bit: v is this step's
                 # own array, and the scaled step's point is overwritten
                 # every step
-                if metric is None:
+                if curv.metric is None:
                     np.subtract(x, np.multiply(v, eta, out=v), out=v)
-                    x = prox(reg, v, eta)
+                    y = prox(reg, v, eta)
                 else:
-                    np.subtract(x, np.multiply(apply_inverse(metric, v),
-                                               eta, out=point), out=point)
+                    prob = curv.problem
+                    np.subtract(x, np.multiply(apply_inverse(curv.metric, v),
+                                               eta, out=prob.x), out=prob.x)
                     # through the module, so that wrappers of
                     # scaled_prox_info (the benchmark's tracer) see every call
-                    x, info = prox_module.scaled_prox_info(reg, prox_prob)
-                    prox_prob.beta0 = info.beta
+                    y, info = prox_module.scaled_prox_info(reg, prob)
+                    prob.beta0 = info.beta
                     scaled_calls += 1
                     if first_scaled is None:
                         first_scaled = g
-                xsum += x
-                if not (use_metric and g % Z == 0):
-                    continue
-                xhat = window.mean(axis=0)
-                if xhat_prev is None:
-                    xhat_prev = xhat
-                    continue
-                sr, xhat_prev = xhat - xhat_prev, xhat
-                # the norms and the splitting are checked for finiteness
-                # right after they are made: a diverging run raises here
-                sr_norm = float(np.linalg.norm(sr))
-                xhat_norm = float(np.linalg.norm(xhat))
-                # a non-finite xhat at the first anchor shows up in s_r
-                if not math.isfinite(sr_norm + xhat_norm):
-                    raise DivergenceError(
-                        f"anchor point or step not finite at iteration {g}")
-                if sr_norm <= 1e-14 * (1.0 + xhat_norm):
-                    anomalies += 1
-                    continue
-                yr = hessian_vec(obj, next(hess_batches), xhat, sr)
-                try:
-                    metric = build_metric(CurvaturePair(sr, yr),
-                                          config.alpha, config.skip_eps)
-                except NegativeCurvatureError:
-                    anomalies += 1
-                    continue
-                if metric.anomalous:
-                    anomalies += 1
-                diag, rank1, sign = metric_as_splitting(metric)
-                # a non-finite y_r, or products of s_r and y_r that overflow,
-                # leave 1/(alpha tau) or u inf/nan
-                if not (np.isfinite(diag).all() and diag.all()
-                        and np.isfinite(rank1).all()):
-                    raise DivergenceError(
-                        f"curvature pair not finite at iteration {g}")
-                prox_prob = ScaledProxProblem(diag, rank1, sign, eta,
-                                              point)
-                rebuilds += 1
+                xsum += y
+                if sqn:
+                    curv.update(g, x)
+                x = y
             x = xsum / config.m
-        record(s, s * config.m, x, grad_evals, rebuilds)
-    return RunResult(x, records, grad_evals, rebuilds, anomalies,
+        record(s, s * config.m, x, grad_evals, curv.rebuilds)
+    return RunResult(x, records, grad_evals, curv.rebuilds, curv.anomalies,
                      scaled_calls, first_scaled)
 
 
-def _hessian_batches(rng, n, b, rows):
-    """Uniform size-b subsets of range(n), one per next(), drawn `rows` at
-    a time by _floyd_block: the words of one _floyd_sample call each. The
-    stream is one run's own, and an anchor that skips its rebuild takes no
-    subset, so drawing ahead moves no subset of any rebuild."""
-    while True:
-        yield from _floyd_block(rng, n, b, rows)
+class _Curvature:
+    """The anchors and the metric of one ProxSQN run, on the schedule of
+    the module docstring: update(g, x) takes the point that step g started
+    from. A tiny s_r, or a pair without positive curvature, skips its
+    rebuild and counts as an anomaly, as does a metric built anomalous."""
+
+    def __init__(self, obj, config):
+        self.obj, self.config = obj, config
+        Z = config.metric_period
+        self.window = np.zeros((Z, obj.d))
+        self.xhat_prev: np.ndarray | None = None
+        # the Hessian batches: uniform size-b_H subsets from a stream of
+        # their own, so the gradient batches are ProxSVRG's. They are drawn
+        # ahead, rows at a time; an anchor that skips its rebuild takes no
+        # subset, so drawing ahead moves no subset of any rebuild.
+        rng = make_rng(config.seed ^ 0x9E3779B97F4A7C15)
+        b, rows = min(config.b_hessian, obj.n), min(config.m // Z + 1, 256)
+        self.batches = (T for _ in itertools.count()
+                        for T in _floyd_block(rng, obj.n, b, rows))
+        self.metric: Metric | None = None
+        # one problem per metric, its (diag, rank1, sign) part validated
+        # here; they share the row x, and the Newton start is the last root
+        self.problem: ScaledProxProblem | None = None
+        self.point = np.zeros(obj.d)
+        self.rebuilds = self.anomalies = 0
+
+    def update(self, g, x):
+        Z = len(self.window)
+        self.window[(g - 1) % Z] = x
+        if g % Z:
+            return
+        xhat = self.window.mean(axis=0)
+        if self.xhat_prev is None:
+            self.xhat_prev = xhat
+            return
+        sr, self.xhat_prev = xhat - self.xhat_prev, xhat
+        # the norms and the splitting are checked for finiteness right
+        # after they are made: a diverging run raises here
+        sr_norm = float(np.linalg.norm(sr))
+        xhat_norm = float(np.linalg.norm(xhat))
+        # a non-finite xhat at the first anchor shows up in s_r
+        if not math.isfinite(sr_norm + xhat_norm):
+            raise DivergenceError(
+                f"anchor point or step not finite at iteration {g}")
+        if sr_norm <= 1e-14 * (1.0 + xhat_norm):
+            self.anomalies += 1
+            return
+        yr = hessian_vec(self.obj, next(self.batches), xhat, sr)
+        try:
+            metric = build_metric(CurvaturePair(sr, yr), self.config.alpha,
+                                  self.config.skip_eps)
+        except NegativeCurvatureError:
+            self.anomalies += 1
+            return
+        self.anomalies += metric.anomalous
+        diag, rank1, sign = metric_as_splitting(metric)
+        # a non-finite y_r, or products of s_r and y_r that overflow,
+        # leave 1/(alpha tau) or u inf/nan
+        if not (np.isfinite(diag).all() and diag.all()
+                and np.isfinite(rank1).all()):
+            raise DivergenceError(
+                f"curvature pair not finite at iteration {g}")
+        self.metric = metric
+        self.problem = ScaledProxProblem(diag, rank1, sign, self.config.eta,
+                                         self.point)
+        self.rebuilds += 1
 
 
 def _prox_gradient(obj, reg, eta, momentum=False, restart=False):
@@ -406,12 +415,15 @@ def estimate_smoothness(obj: SmoothObjective, iters: int = 200,
     v = rng.standard_normal(obj.d)
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(iters):
-        w = scale * (A.T @ (A @ v)) / obj.n + obj.ridge * v
-        lam = float(np.linalg.norm(w))
-        if lam == 0.0:
-            return obj.ridge
-        v = w / lam
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(iters):
+            w = scale * (A.T @ (A @ v)) / obj.n + obj.ridge * v
+            lam = float(np.linalg.norm(w))
+            # an overflowed lam (inf or nan) is returned as it is: scaling
+            # v by it would zero v, and the estimate would read the ridge
+            if not 0.0 < lam < math.inf:
+                return obj.ridge if lam == 0.0 else lam
+            v = w / lam
     return 1.01 * lam + 1e-12
 
 
@@ -422,14 +434,15 @@ def reference_solution(obj: SmoothObjective, reg: Regularizer,
 
     Stops when the fixed-point residual ||x - prox_{eta R}(x - eta grad F)||
     / eta falls below tol. Raises ValueError on a negative or non-finite
-    tol, and ConvergenceError at the iteration cap or on a non-finite
-    smoothness estimate or residual.
+    tol, and ConvergenceError at the iteration cap, on a smoothness
+    estimate outside (0, inf) or on a non-finite residual.
     """
     if not 0.0 <= tol < math.inf:
         raise ValueError("tol must be >= 0 and finite")
     smoothness = estimate_smoothness(obj)
-    if not math.isfinite(smoothness):
-        raise ConvergenceError(f"non-finite smoothness estimate {smoothness}")
+    if not 0.0 < smoothness < math.inf:  # 0 when A'A v underflows
+        raise ConvergenceError(
+            f"smoothness estimate {smoothness} is not in (0, inf)")
     eta = 1.0 / smoothness
     steps = _prox_gradient(obj, reg, eta, momentum=True, restart=True)
     for x in itertools.islice(steps, max_iter):

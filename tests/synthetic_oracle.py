@@ -5,9 +5,10 @@ planted point, bit for bit, on every spec.
 
 import numpy as np
 
+from floyd_oracle import floyd_sample
 from proxsqn import Dataset
 from proxsqn.model import LOSSES
-from proxsqn.sampler import _floyd_sample, make_rng
+from proxsqn.sampler import make_rng
 
 
 def generate_synthetic(spec):
@@ -19,14 +20,14 @@ def generate_synthetic(spec):
         col_scale = spec.condition ** (-np.arange(d) / (2.0 * (d - 1)))
     else:
         col_scale = np.ones(1)
-    support = _floyd_sample(rng, d, max(1, int(round(0.2 * d))))
+    support = floyd_sample(rng, d, max(1, int(round(0.2 * d))))
     x_true = np.zeros(d)
     x_true[support] = rng.standard_normal(support.size)
     k = max(1, int(round(spec.density * d)))
     rows = []
     margins = np.empty(n)
     for i in range(n):
-        idx = _floyd_sample(rng, d, k)
+        idx = floyd_sample(rng, d, k)
         val = rng.standard_normal(k) * col_scale[idx]
         rows.append((idx, val))
         margins[i] = val @ x_true[idx]

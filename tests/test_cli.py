@@ -381,6 +381,16 @@ def test_run_divergence_at_anchor_exit_2(runner, tmp_path, eta, what):
     assert not (out / "exp_sqn.csv").exists()
 
 
+def run_in_subprocess(tmp_path, cfg):
+    """`proxsqn run cfg` in a fresh interpreter, whose numpy warnings
+    reach its stderr as they would on the command line."""
+    src = os.path.dirname(os.path.dirname(proxsqn.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "proxsqn.cli", "--output",
+                           str(tmp_path / "out"), "run", cfg],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
 def test_run_overflow_inside_an_epoch_prints_no_warning(tmp_path):
     # criterion 10's instance at eta = 1e6: x overflows within the first
     # epoch; the epoch-end and anchor guards report it, numpy prints nothing
@@ -394,16 +404,38 @@ def test_run_overflow_inside_an_epoch_prints_no_warning(tmp_path):
         text += (f"solver.{name}.epochs = 4\nsolver.{name}.eta = 1e6\n"
                  f"solver.{name}.m = 600\nsolver.{name}.b = 5\n")
     text += "solver.sqn.b_hessian = 10\nsolver.sqn.metric_period = 5\n"
-    cfg = write_config(tmp_path, text)
-    src = os.path.dirname(os.path.dirname(proxsqn.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-m", "proxsqn.cli", "--output",
-                           str(tmp_path / "out"), "run", cfg],
-                          env=env, capture_output=True, text=True, timeout=60)
+    proc = run_in_subprocess(tmp_path, write_config(tmp_path, text))
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert "svrg               diverged: " in proc.stdout
     assert "sqn                diverged: " in proc.stdout
     assert "Warning" not in proc.stderr
+
+
+@pytest.mark.parametrize("loss,ridge,rows,code", [
+    # ||A'A v|| overflows in the power iteration; both solvers diverge
+    ("logistic_ridge", 0.1, "1 1:1.3e154\n-1 2:1.3e154\n1 1:1\n", 2),
+    # A'A v underflows to 0 at ridge 0; both solvers run
+    ("squared_error", 0.0, "1 1:1e-160\n-1 1:2e-160\n", 0)],
+    ids=["overflow", "underflow"])
+def test_run_smoothness_out_of_range_gives_raw_traces(tmp_path, loss, ridge,
+                                                      rows, code):
+    data = tmp_path / "data.libsvm"
+    data.write_text(rows)
+    cfg = write_config(tmp_path, (
+        f"loss = {loss}\nridge = {ridge}\nlambda1 = 0\ndataset = {data}\n"
+        "solvers = prox_gd, prox_sqn\nsolver.prox_sqn.b = 1\n"
+        "solver.prox_sqn.b_hessian = 2\nsolver.prox_sqn.m = 20\n"
+        "solver.prox_sqn.metric_period = 2\n"))
+    proc = run_in_subprocess(tmp_path, cfg)
+    assert proc.returncode == code, proc.stdout + proc.stderr
+    assert proc.stderr.startswith("warning: no reference solution "
+                                  "(smoothness estimate ")
+    assert proc.stderr.count("\n") == 1
+    if code == 0:
+        for name in ("prox_gd", "prox_sqn"):
+            csv = (tmp_path / "out" / f"exp_{name}.csv").read_text()
+            records = csv.splitlines()[1:]
+            assert records and all(r.split(",")[3] == "" for r in records)
 
 
 def test_run_csv_rename_failure_exit_3(runner, tmp_path, monkeypatch):

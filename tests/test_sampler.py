@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from floyd_oracle import floyd_sample
 from proxsqn import (
     EnumerationLimitError,
     LossKind,
@@ -22,7 +23,7 @@ from proxsqn import (
 )
 from proxsqn.model import batch_slabs
 from proxsqn.oracles import component_gradient
-from proxsqn.sampler import _floyd_block, _floyd_sample, gather_batches
+from proxsqn.sampler import _floyd_block, gather_batches
 
 
 def one_batch(obj, snap, idx, weights, full=False):
@@ -43,7 +44,7 @@ def draw_one_by_one(sampler, snap):
     obj, n, b = sampler.obj, sampler.obj.n, sampler.scheme.b
     kind = sampler.scheme.kind
     if kind is SchemeKind.UNIFORM_BATCH:
-        idx = _floyd_sample(sampler.rng, n, b)
+        idx = floyd_sample(sampler.rng, n, b)
         return one_batch(obj, snap, idx, np.full(b, float(b)), full=(b == n))
     if kind is SchemeKind.WEIGHTED_SINGLE:
         i = int(np.searchsorted(sampler._cum, sampler.rng.random(),
@@ -98,8 +99,7 @@ def vr_gradient_per_step(obj, snapshot, batch, x):
 def test_floyd_sample_shape_and_range():
     rng = make_rng(41)
     for n, b in [(10, 1), (10, 3), (10, 10), (5, 4)]:
-        for _ in range(50):
-            s = _floyd_sample(rng, n, b)
+        for s in _floyd_block(rng, n, b, 50):
             assert s.size == b
             assert np.all(np.diff(s) > 0)  # sorted, unique
             assert s.min() >= 0 and s.max() < n
@@ -113,7 +113,7 @@ def test_floyd_block_is_the_floyd_sample_loop(n, b):
     m = 300
     rng, oracle = make_rng(47), make_rng(47)
     block = _floyd_block(rng, n, b, m)
-    loop = np.array([_floyd_sample(oracle, n, b) for _ in range(m)])
+    loop = np.array([floyd_sample(oracle, n, b) for _ in range(m)])
     assert block.dtype == np.int64
     assert np.array_equal(block, loop)
     # the generator is left where the loop leaves it
@@ -124,14 +124,12 @@ def test_floyd_block_is_the_floyd_sample_loop(n, b):
 def test_floyd_sample_uniform_frequencies():
     rng = make_rng(42)
     draws = 30000
-    counts = {}
-    for _ in range(draws):
-        key = tuple(_floyd_sample(rng, 5, 2))
-        counts[key] = counts.get(key, 0) + 1
-    assert len(counts) == 10
+    rows, counts = np.unique(_floyd_block(rng, 5, 2, draws), axis=0,
+                             return_counts=True)
+    assert len(rows) == 10
     p = 1.0 / 10.0
     sigma = math.sqrt(draws * p * (1 - p))
-    assert max(abs(c - draws * p) for c in counts.values()) <= 4 * sigma
+    assert max(abs(c - draws * p) for c in counts) <= 4 * sigma
 
 
 def test_make_rng_takes_64_bit_seeds_only():

@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from floyd_oracle import floyd_sample
 from proxsqn import (
     IDENTITY_BOUNDS,
     CurvaturePair,
@@ -163,11 +165,11 @@ def test_hessian_batches_are_the_per_rebuild_draws(midsize, lasso_reg,
                                                    monkeypatch):
     # Hessian batches are drawn ahead in blocks of m // Z + 1 rows, and an
     # anchor that skips its rebuild takes none: the batches are those of
-    # one _floyd_sample call per drawn anchor on a fresh generator. The
+    # one floyd_sample call per drawn anchor on a fresh generator. The
     # plain prox pins x at 0 for the first 4Z steps, so the anchors at 2Z,
     # 3Z and 4Z see s_r = 0 and skip.
     import proxsqn.solver as solver_module
-    from proxsqn.sampler import _floyd_sample, make_rng
+    from proxsqn.sampler import make_rng
     Z, seed = 5, 13
     real_prox, steps = solver_module.prox, []
 
@@ -192,7 +194,41 @@ def test_hessian_batches_are_the_per_rebuild_draws(midsize, lasso_reg,
     assert len(drawn) == 4 * 40 // Z - 1 - 3  # 28, from blocks of 9 rows
     fresh = make_rng(seed ^ 0x9E3779B97F4A7C15)
     for T in drawn:
-        assert np.array_equal(T, _floyd_sample(fresh, midsize.n, 12))
+        assert np.array_equal(T, floyd_sample(fresh, midsize.n, 12))
+
+
+def test_anchors_are_means_of_the_step_start_points(midsize, lasso_reg,
+                                                    monkeypatch):
+    # each anchor xhat_r, at g = rZ, is bit for bit the mean of the points
+    # that steps g-Z+1..g started from, and s_r = xhat_r - xhat_{r-1}. With
+    # m % Z != 0 the windows straddle epoch ends, so they hold the epoch
+    # averages that the next epochs restart from.
+    import proxsqn.solver as solver_module
+    Z, m, epochs = 10, 37, 3
+    starts, pairs = [], []
+    real_vr_gradient = solver_module.vr_gradient
+    real_hessian_vec = solver_module.hessian_vec
+
+    def recording_vr_gradient(obj, snapshot, batch, x):
+        starts.append(x.copy())
+        return real_vr_gradient(obj, snapshot, batch, x)
+
+    def recording_hessian_vec(obj, batch, x, s):
+        pairs.append((len(starts), x.copy(), s.copy()))
+        return real_hessian_vec(obj, batch, x, s)
+
+    monkeypatch.setattr(solver_module, "vr_gradient", recording_vr_gradient)
+    monkeypatch.setattr(solver_module, "hessian_vec", recording_hessian_vec)
+    res = run(midsize, lasso_reg, sqn_config(epochs=epochs, m=m,
+                                             metric_period=Z))
+    assert len(starts) == epochs * m
+    anchors = {g: np.array(starts[g - Z:g]).mean(axis=0)
+               for g in range(Z, epochs * m + 1, Z)}
+    assert res.anomalies == 0
+    assert [g for g, _, _ in pairs] == sorted(anchors)[1:]
+    for g, xhat, sr in pairs:
+        assert xhat.tobytes() == anchors[g].tobytes()
+        assert sr.tobytes() == (anchors[g] - anchors[g - Z]).tobytes()
 
 
 def test_prox_gd_closed_form_quadratic():
@@ -544,6 +580,36 @@ def test_estimate_smoothness_bounds(midsize):
     true_L = np.linalg.eigvalsh(Q)[-1]
     est = estimate_smoothness(midsize)
     assert true_L <= est <= 1.02 * true_L
+
+
+def _column_instance(loss, ridge, entries, labels):
+    rows = [(np.array([j]), np.array([v])) for j, v in entries]
+    ds = Dataset.from_rows(rows, np.array(labels), 2)
+    return SmoothObjective.build(ds, loss, ridge)
+
+
+def test_estimate_smoothness_returns_an_overflow(zero_reg):
+    # L_i = 4.2e307 is finite, but ||A'A v|| overflows: the estimate is
+    # inf, not the ridge left after v was scaled to 0, and numpy is silent
+    obj = _column_instance(LossKind.LOGISTIC_RIDGE, 0.1,
+                           [(0, 1.3e154), (1, 1.3e154), (0, 1.0)],
+                           [1.0, -1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not math.isfinite(estimate_smoothness(obj))
+        with pytest.raises(ConvergenceError,
+                           match=r"smoothness estimate (inf|nan) is not"):
+            reference_solution(obj, zero_reg)
+
+
+def test_reference_solution_rejects_an_underflowed_smoothness(zero_reg):
+    # A'A v underflows to 0 at ridge 0: a step of 1/0 must not be taken
+    obj = _column_instance(LossKind.SQUARED_ERROR, 0.0,
+                           [(0, 1e-160), (0, 2e-160)], [1.0, -1.0])
+    assert estimate_smoothness(obj) == 0.0
+    with pytest.raises(ConvergenceError,
+                       match=r"smoothness estimate 0\.0 is not in \(0, inf\)"):
+        reference_solution(obj, zero_reg)
 
 
 def test_reference_solution_least_squares(zero_reg):

@@ -2,8 +2,8 @@ import dataclasses
 
 import pytest
 
+from floyd_oracle import floyd_sample
 from proxsqn import build_metric, make_rng
-from proxsqn.sampler import _floyd_sample
 from proxsqn.verify import _subset_counts, check_floyd_frequencies, run_checks
 
 FAST_NAMES = [
@@ -39,7 +39,7 @@ def test_frequency_check_counts_the_floyd_sample_loop():
     rng = make_rng(808)
     loop: dict[tuple, int] = {}
     for _ in range(150000):
-        key = tuple(_floyd_sample(rng, 6, 2).tolist())
+        key = tuple(floyd_sample(rng, 6, 2).tolist())
         loop[key] = loop.get(key, 0) + 1
     assert _subset_counts(make_rng(808), 6, 2, 150000) == loop
 

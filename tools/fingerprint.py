@@ -6,7 +6,9 @@
 The first form runs every solver kind under every sampling scheme, for both
 losses and lambda1 in {0, 0.02}, on a small synthetic instance; then ProxSQN
 and ProxSVRG on a wider sparse one (d=400, where the scaled prox has many
-breakpoints, lambda1 in {0, 0.002}); then `proxsqn run` on one config per
+breakpoints, lambda1 in {0, 0.002}); then ProxSQN and ProxSVRG with
+m % Z != 0, on the small instance (m=37, Z=10 and m=23, Z=7) and at d=1
+(m=37, Z=10); then `proxsqn run` on one config per
 loss and lambda1 in {0, 0.02}, with all five solvers; then each property
 check of `run_checks("fast")`; then the exact estimator moments of
 `enumerate_estimator_stats` for every sampling scheme, on a tiny instance
@@ -80,16 +82,24 @@ def solver_runs(proxsqn):
     """(name, hash, objectives) for every library run."""
     from proxsqn.solver import estimate_smoothness
     K, S = proxsqn.SolverKind, proxsqn.SchemeKind
-    sets = [  # instance, lambda1 values, solver kinds, schemes
-        ("small", dict(n=40, d=12, density=0.5, condition=8.0, noise=0.1,
-                       seed=5), LAMBDAS, list(K), list(S)),
+    small = dict(n=40, d=12, density=0.5, condition=8.0, noise=0.1, seed=5)
+    sqn_svrg = [K.PROX_SQN, K.PROX_SVRG]
+    sets = [  # instance, lambda1 values, solver kinds, schemes, (m, Z)
+        ("small", small, LAMBDAS, list(K), list(S), (60, 5)),
         # lambda1 = 0.02 would zero the logistic solution here
         ("wide", dict(n=600, d=400, density=0.05, condition=8.0, noise=0.1,
-                      seed=6), (0.0, 0.002), [K.PROX_SQN, K.PROX_SVRG],
-         [S.UNIFORM_BATCH]),
+                      seed=6), (0.0, 0.002), sqn_svrg, [S.UNIFORM_BATCH],
+         (60, 5)),
+        # m % Z != 0, so anchor windows straddle epoch ends; the window
+        # mean of Z = 10 points at d = 1 sums its one column pairwise
+        ("small/m=37/Z=10", small, LAMBDAS, sqn_svrg, list(S), (37, 10)),
+        ("small/m=23/Z=7", small, LAMBDAS, sqn_svrg, [S.UNIFORM_BATCH],
+         (23, 7)),
+        ("line/m=37/Z=10", dict(n=40, d=1, noise=0.1, seed=7), LAMBDAS,
+         sqn_svrg, [S.UNIFORM_BATCH, S.WEIGHTED_SINGLE], (37, 10)),
     ]
     for loss in proxsqn.LossKind:
-        for size, spec_kw, lams, kinds, schemes in sets:
+        for size, spec_kw, lams, kinds, schemes, (m, Z) in sets:
             obj = _instance(proxsqn, loss, spec_kw)
             eta = {K.PROX_GD: 1.0 / estimate_smoothness(obj),
                    K.PROX_SQN: 0.1 / obj.lipschitz_mean,
@@ -104,9 +114,9 @@ def solver_runs(proxsqn):
                         inner = kind in (K.PROX_SQN, K.PROX_SVRG)
                         cfg = proxsqn.SolverConfig(
                             kind=kind, epochs=6 if inner else 12,
-                            eta=eta[kind], m=60,
+                            eta=eta[kind], m=m,
                             b=1 if scheme is S.WEIGHTED_SINGLE else 2,
-                            b_hessian=10, metric_period=5, scheme=scheme,
+                            b_hessian=10, metric_period=Z, scheme=scheme,
                             seed=3)
                         name = (f"{size}/{loss.value}/l1={lam}/"
                                 f"{kind.value}/{scheme.value}")
