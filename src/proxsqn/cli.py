@@ -92,10 +92,18 @@ def _load_config(path: str, require_solvers: bool = True) -> ExperimentConfig:
         _fail(1, f"{path}: {exc}")
 
 
+def _generate(spec):
+    """generate_synthetic(spec); exit 1 when numpy cannot allocate it."""
+    try:
+        return generate_synthetic(spec)
+    except (MemoryError, ValueError) as exc:  # "array is too big"
+        _fail(1, f"synthetic data: n = {spec.n}, d = {spec.d}: "
+                 f"cannot allocate ({exc})")
+
+
 def _materialize(cfg: ExperimentConfig):
     if cfg.synthetic is not None:
-        ds, _ = generate_synthetic(cfg.synthetic)
-        return ds
+        return _generate(cfg.synthetic)[0]
     text = _read_text(cfg.dataset, "dataset")
     try:
         ds = parse_libsvm(text, binary_labels=LOSSES[cfg.loss].binary_labels)
@@ -251,7 +259,7 @@ def cmd_gen(spec_config, out_path, truth_path):
     cfg = _load_config(spec_config, require_solvers=False)
     if cfg.synthetic is None:
         _fail(1, f"{spec_config}: gen needs a synthetic.* section")
-    ds, x_true = generate_synthetic(cfg.synthetic)
+    ds, x_true = _generate(cfg.synthetic)
     files = [(out_path, write_libsvm(ds))]
     if truth_path is not None:
         files.append((truth_path,

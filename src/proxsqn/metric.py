@@ -104,7 +104,7 @@ def build_metric(pair: CurvaturePair, alpha: float,
 def apply_inverse(metric: Metric, v: np.ndarray) -> np.ndarray:
     """H^{-1} v in O(d)."""
     out = (metric.alpha * metric.tau) * v
-    if metric.u.size and not metric.skipped:
+    if not metric.skipped:
         out += metric.u * float(metric.u.dot(v))
     return out
 
@@ -118,7 +118,7 @@ def metric_as_splitting(metric: Metric):
     """
     at = metric.alpha * metric.tau
     diag = np.full(metric.d, 1.0 / at)
-    if metric.skipped or not metric.u.size:
+    if metric.skipped:
         return diag, np.zeros(metric.d), -1
     uu = float(metric.u @ metric.u)
     w = metric.u / math.sqrt(at * (at + uu))
@@ -131,10 +131,9 @@ class MetricBounds:
 
     gamma: float
     big_gamma: float
-    degenerate: bool = False
 
     def __post_init__(self):
-        if not self.degenerate and not (0.0 < self.gamma <= self.big_gamma):
+        if not 0.0 < self.gamma <= self.big_gamma:
             raise ValueError("need 0 < gamma <= Gamma")
 
 

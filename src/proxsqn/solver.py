@@ -24,9 +24,10 @@ ProxSQN epoch structure (epochs s = 1..S, inner iterations j = 0..m-1, global
 ProxSVRG is the same loop without the metric: its _Curvature never updates.
 Hessian batches come from a stream of their own, so ProxSQN and ProxSVRG
 draw the same gradient batches.
-ProxGD (ISTA), FISTA and reference_solution share one full-gradient
-proximal-gradient iteration, with FISTA momentum and function-value restart
-as internal switches; a dense-Hessian proximal Newton is the last baseline.
+All four full-gradient iterations share one proximal-gradient loop, with
+FISTA momentum and function-value restart as switches: ProxGD (ISTA), FISTA
+and reference_solution pass it the forward-backward map, and the
+dense-Hessian proximal Newton baseline its L1 subproblem's map.
 """
 
 from __future__ import annotations
@@ -119,16 +120,24 @@ def composite_value(obj: SmoothObjective, reg: Regularizer,
 
 def run(obj: SmoothObjective, reg: Regularizer, config: SolverConfig,
         p_star: float | None = None) -> RunResult:
-    """Run one solver to completion, emitting one trace record per epoch."""
-    kind = config.kind
+    """Run one solver to completion, emitting one trace record per epoch
+    (per iteration for the full-gradient solvers)."""
+    kind, eta = config.kind, config.eta
     if kind in (SolverKind.PROX_SQN, SolverKind.PROX_SVRG):
         return _run_inner_loop(obj, reg, config, p_star)
     if kind in (SolverKind.PROX_GD, SolverKind.FISTA):
-        return _run_full_gradient(obj, reg, config, p_star,
-                                  momentum=kind is SolverKind.FISTA)
-    if kind is SolverKind.PROX_NEWTON_FULL:
-        return _run_prox_newton(obj, reg, config, p_star)
-    raise ValueError(f"unknown solver kind {kind}")
+        steps = _prox_gradient(_forward_backward(obj, reg, eta),
+                               np.zeros(obj.d), kind is SolverKind.FISTA)
+        rebuilds = 0
+    elif kind is SolverKind.PROX_NEWTON_FULL:
+        steps, rebuilds = _prox_newton(obj, reg, eta), 1
+    else:
+        raise ValueError(f"unknown solver kind {kind}")
+    records, record = _recorder(obj, reg, p_star)
+    for k, x in zip(range(1, config.epochs + 1), steps):
+        record(k, k, x, k * obj.n, k * rebuilds)
+    return RunResult(x, records, config.epochs * obj.n,
+                     config.epochs * rebuilds, 0, 0, None)
 
 
 def _recorder(obj, reg, p_star):
@@ -274,17 +283,21 @@ class _Curvature:
         self.rebuilds += 1
 
 
-def _prox_gradient(obj, reg, eta, momentum=False, restart=False):
-    """Yield x+ = prox_{eta R}(y - eta grad F(y)) from x = 0, where y is the
-    last iterate or, with momentum, the FISTA extrapolation; restart drops
-    the momentum whenever P increases (evaluated only for that test)."""
-    x = y = np.zeros(obj.d)
-    t = 1.0
-    p_prev = math.inf
+def _forward_backward(obj, reg, eta):
+    """The map y -> prox_{eta R}(y - eta grad F(y)); prox and full_gradient
+    are looked up at call time, so that wrappers of them see every call."""
+    return lambda y: prox(reg, y - eta * full_gradient(obj, y), eta)
+
+
+def _prox_gradient(step, x, momentum=False, value=None):
+    """Yield x+ = step(y) from x, where y is the last iterate or, with
+    momentum, the FISTA extrapolation; with value, the momentum restarts
+    whenever value(x+) increases (evaluated only for that test)."""
+    y, t, p_prev = x, 1.0, math.inf
     while True:
-        x_next = prox(reg, y - eta * full_gradient(obj, y), eta)
+        x_next = step(y)
         yield x_next
-        p_val = composite_value(obj, reg, x_next) if restart else -math.inf
+        p_val = -math.inf if value is None else value(x_next)
         if not momentum or p_val > p_prev:
             t = 1.0
             y = x_next
@@ -296,54 +309,33 @@ def _prox_gradient(obj, reg, eta, momentum=False, restart=False):
         x = x_next
 
 
-def _run_full_gradient(obj, reg, config, p_star, momentum):
-    """ProxGD (ISTA), or FISTA with momentum: one full gradient per epoch."""
-    records, record = _recorder(obj, reg, p_star)
-    steps = _prox_gradient(obj, reg, config.eta, momentum)
-    for k, x in zip(range(1, config.epochs + 1), steps):
-        record(k, k, x, k * obj.n, 0)
-    return RunResult(x, records, config.epochs * obj.n, 0, 0, 0, None)
-
-
-def _run_prox_newton(obj, reg, config, p_star):
-    """Dense-Hessian proximal Newton: x+ = prox_{eta R}^{H}(x - eta H^{-1} g).
-
-    The L1 subproblem is solved by an inner accelerated proximal-gradient
-    loop on the quadratic model; with no regularizer the step is the exact
-    damped Newton solve. d above the dense Hessian's limit raises ValueError.
-    """
+def _prox_newton(obj, reg, eta, tol=1e-12, max_iter=20000):
+    """Yield dense-Hessian proximal Newton iterates x+ = prox_{eta R}^{H}(x
+    - eta H^{-1} g) from x = 0. The L1 subproblem, argmin_y g'(y-x) +
+    ||y-x||_H^2 / (2 eta) + R(y), is FISTA on the quadratic model from x,
+    stopped when successive iterates agree to tol or after max_iter steps;
+    with no regularizer the step is the exact damped Newton solve. d above
+    the dense Hessian's limit raises ValueError."""
     x = np.zeros(obj.d)
-    records, record = _recorder(obj, reg, p_star)
     all_rows = np.arange(obj.n, dtype=np.int64)
-    for k in range(1, config.epochs + 1):
+    while True:
         g = full_gradient(obj, x)
         H = dense_batch_hessian(obj, all_rows, x) / obj.n
+        c = x - eta * np.linalg.solve(H, g)  # unconstrained minimizer
         if reg.lambda1 == 0.0:
-            x = x - config.eta * np.linalg.solve(H, g)
+            x = c
         else:
-            x = _newton_subproblem(H, g, x, reg, config.eta)
-        record(k, k, x, k * obj.n, k)
-    return RunResult(x, records, config.epochs * obj.n, config.epochs, 0, 0,
-                     None)
-
-
-def _newton_subproblem(H, g, x, reg, eta, tol=1e-12, max_iter=20000):
-    """argmin_y g'(y-x) + (1/(2 eta)) ||y-x||_H^2 + R(y) by FISTA."""
-    sigma = float(np.linalg.eigvalsh(H)[-1]) / eta
-    c = x - eta * np.linalg.solve(H, g)  # unconstrained minimizer
-    y = x.copy()
-    z = y.copy()
-    t = 1.0
-    thresh = reg.lambda1 / sigma
-    for _ in range(max_iter):
-        grad = (H @ (z - c)) / eta
-        y_next = prox_module._soft_threshold(z - grad / sigma, -thresh, thresh)
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        z = y_next + ((t - 1.0) / t_next) * (y_next - y)
-        if float(np.linalg.norm(y_next - y)) <= tol * (1.0 + float(np.linalg.norm(y))):
-            return y_next
-        y, t = y_next, t_next
-    return y
+            sigma = float(np.linalg.eigvalsh(H)[-1]) / eta
+            thresh = reg.lambda1 / sigma
+            steps = _prox_gradient(lambda z: prox_module._soft_threshold(
+                z - ((H @ (z - c)) / eta) / sigma, -thresh, thresh), x,
+                momentum=True)
+            for y in itertools.islice(steps, max_iter):
+                x_prev, x = x, y
+                if float(np.linalg.norm(y - x_prev)) <= tol * (
+                        1.0 + float(np.linalg.norm(x_prev))):
+                    break
+        yield x
 
 
 @dataclass
@@ -367,8 +359,6 @@ def rate_plan(bounds: MetricBounds, l_q: float, mu: float, m: int,
     feasible means 0 < rho < 1 at the given (eta, m). m_min is the smallest
     m with rho < 1 at this eta (None when eta >= eta_max, where no m works).
     """
-    if bounds.degenerate:
-        raise ValueError("degenerate metric bounds cannot be planned")
     if l_q <= 0.0 or mu <= 0.0 or m < 1 or eta <= 0.0:
         raise ValueError("need l_q > 0, mu > 0, m >= 1, eta > 0")
     gam, big = bounds.gamma, bounds.big_gamma
@@ -444,10 +434,11 @@ def reference_solution(obj: SmoothObjective, reg: Regularizer,
         raise ConvergenceError(
             f"smoothness estimate {smoothness} is not in (0, inf)")
     eta = 1.0 / smoothness
-    steps = _prox_gradient(obj, reg, eta, momentum=True, restart=True)
+    step = _forward_backward(obj, reg, eta)
+    steps = _prox_gradient(step, np.zeros(obj.d), momentum=True,
+                           value=lambda x: composite_value(obj, reg, x))
     for x in itertools.islice(steps, max_iter):
-        fp = prox(reg, x - eta * full_gradient(obj, x), eta)
-        residual = float(np.linalg.norm(x - fp)) / eta
+        residual = float(np.linalg.norm(x - step(x))) / eta
         if residual <= tol:
             return x, composite_value(obj, reg, x)
         if not math.isfinite(residual):

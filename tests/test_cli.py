@@ -253,6 +253,32 @@ def test_run_unallocatable_d_exit_1(runner, tmp_path, index):
     assert "Traceback" not in res.output
 
 
+@pytest.mark.parametrize("command", ["run", "gen"])
+@pytest.mark.parametrize("n,d,density", [
+    (10 ** 13, 10, 0.5),  # 364 TiB of feature indices
+    (10 ** 20, 10, 0.5),  # past numpy's dimension limit
+    (10, 10 ** 13, 1e-12),  # 72.8 TiB of column scales
+])
+def test_unallocatable_synthetic_exit_1(runner, tmp_path, command, n, d,
+                                        density):
+    # sizes that numpy refuses at once, before touching any memory
+    cfg = write_config(
+        tmp_path,
+        "loss = squared_error\nridge = 0.1\nlambda1 = 0.0\n"
+        f"synthetic.n = {n}\nsynthetic.d = {d}\n"
+        f"synthetic.density = {density}\nsolvers = prox_gd\n")
+    args = (["--output", str(tmp_path / "out"), "run", cfg]
+            if command == "run" else
+            ["gen", cfg, "-o", str(tmp_path / "data.libsvm")])
+    res = runner.invoke(main, args)
+    assert exited_cleanly(res, 1)
+    assert res.stderr.startswith(
+        f"error: synthetic data: n = {n}, d = {d}: cannot allocate (")
+    assert res.stderr.count("\n") == 1
+    assert "Traceback" not in res.output
+    assert os.listdir(tmp_path) == ["exp.cfg"]
+
+
 def test_run_non_utf8_dataset(runner, tmp_path):
     bad = tmp_path / "bad.libsvm"
     bad.write_bytes(b"1 1:2.0\n-1 2:\xff3.0\n")

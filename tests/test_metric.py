@@ -132,7 +132,8 @@ def test_splitting_of_skipped_metric():
 def test_metric_bounds_validation():
     with pytest.raises(ValueError, match="gamma"):
         MetricBounds(2.0, 1.0)
-    MetricBounds(0.0, 1.0, degenerate=True)  # allowed when flagged
+    with pytest.raises(ValueError, match="gamma"):
+        MetricBounds(0.0, 1.0)
 
 
 def test_metric_sigma_max_within_planned_bound():

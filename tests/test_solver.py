@@ -467,6 +467,23 @@ def test_fixed_point_of_scaled_update(midsize, lasso_reg):
 # ---------------------------------------------------------------- baselines
 
 
+@pytest.mark.parametrize("kind", [SolverKind.PROX_GD, SolverKind.FISTA,
+                                  SolverKind.PROX_NEWTON_FULL])
+def test_full_gradient_cost_model(midsize, lasso_reg, kind):
+    # one full gradient per iteration, and one Hessian rebuild for Newton
+    res = run(midsize, lasso_reg, SolverConfig(kind=kind, epochs=5, eta=0.5))
+    per_rebuild = 1 if kind is SolverKind.PROX_NEWTON_FULL else 0
+    assert [(r.epoch, r.iteration, r.grad_evals, r.metric_rebuilds)
+            for r in res.records] == [
+        (k, k, k * midsize.n, k * per_rebuild) for k in range(1, 6)]
+    assert res.grad_evals == 5 * midsize.n
+    assert res.metric_rebuilds == 5 * per_rebuild
+    assert res.anomalies == res.scaled_prox_calls == 0
+    assert res.first_scaled_iteration is None
+    assert res.records[-1].objective == composite_value(midsize, lasso_reg,
+                                                        res.x)
+
+
 @pytest.mark.parametrize("kind", [SolverKind.PROX_GD, SolverKind.FISTA])
 def test_full_gradient_zeros_are_plus_zero(midsize, lasso_reg, kind):
     # the soft threshold writes +0 for every zero it makes

@@ -8,7 +8,9 @@ losses and lambda1 in {0, 0.02}, on a small synthetic instance; then ProxSQN
 and ProxSVRG on a wider sparse one (d=400, where the scaled prox has many
 breakpoints, lambda1 in {0, 0.002}); then ProxSQN and ProxSVRG with
 m % Z != 0, on the small instance (m=37, Z=10 and m=23, Z=7) and at d=1
-(m=37, Z=10); then `proxsqn run` on one config per
+(m=37, Z=10); then reference_solution on each of those three instances,
+per loss and lambda1, and once capped at max_iter=3, where it raises;
+then `proxsqn run` on one config per
 loss and lambda1 in {0, 0.02}, with all five solvers; then each property
 check of `run_checks("fast")`; then the exact estimator moments of
 `enumerate_estimator_stats` for every sampling scheme, on a tiny instance
@@ -23,7 +25,9 @@ for a root (lambda1 > 0, u != 0), also with the Newton steps turned off
 beta0 = +-1e6. It prints one line per run:
 its name, a SHA-256 hash and its per-epoch objectives ("-" when it has
 none). A solver run's hash covers every TraceRecord field except
-elapsed_ns, the final x bytes and the RunResult counters; a CLI run's
+elapsed_ns, the final x bytes and the RunResult counters; a reference
+run's covers the bytes of x* and repr(P*), or the ConvergenceError's
+message; a CLI run's
 covers its exit code and each CSV with the elapsed_ns column cut off. A
 run that raises hashes the exception's type and message instead. A check's
 hash covers its name, pass flag, margin repr and detail; an enumeration's
@@ -53,6 +57,15 @@ import tempfile
 import numpy as np
 
 LAMBDAS = (0.0, 0.02)
+SMALL = dict(n=40, d=12, density=0.5, condition=8.0, noise=0.1, seed=5)
+# instance name -> (spec, lambda1 values)
+INSTANCES = {
+    "small": (SMALL, LAMBDAS),
+    # lambda1 = 0.02 would zero the logistic solution here
+    "wide": (dict(n=600, d=400, density=0.05, condition=8.0, noise=0.1,
+                  seed=6), (0.0, 0.002)),
+    "line": (dict(n=40, d=1, noise=0.1, seed=7), LAMBDAS),
+}
 
 
 def _instance(proxsqn, loss, spec_kw, ridge=0.1):
@@ -82,21 +95,17 @@ def solver_runs(proxsqn):
     """(name, hash, objectives) for every library run."""
     from proxsqn.solver import estimate_smoothness
     K, S = proxsqn.SolverKind, proxsqn.SchemeKind
-    small = dict(n=40, d=12, density=0.5, condition=8.0, noise=0.1, seed=5)
     sqn_svrg = [K.PROX_SQN, K.PROX_SVRG]
     sets = [  # instance, lambda1 values, solver kinds, schemes, (m, Z)
-        ("small", small, LAMBDAS, list(K), list(S), (60, 5)),
-        # lambda1 = 0.02 would zero the logistic solution here
-        ("wide", dict(n=600, d=400, density=0.05, condition=8.0, noise=0.1,
-                      seed=6), (0.0, 0.002), sqn_svrg, [S.UNIFORM_BATCH],
-         (60, 5)),
+        ("small", *INSTANCES["small"], list(K), list(S), (60, 5)),
+        ("wide", *INSTANCES["wide"], sqn_svrg, [S.UNIFORM_BATCH], (60, 5)),
         # m % Z != 0, so anchor windows straddle epoch ends; the window
         # mean of Z = 10 points at d = 1 sums its one column pairwise
-        ("small/m=37/Z=10", small, LAMBDAS, sqn_svrg, list(S), (37, 10)),
-        ("small/m=23/Z=7", small, LAMBDAS, sqn_svrg, [S.UNIFORM_BATCH],
+        ("small/m=37/Z=10", SMALL, LAMBDAS, sqn_svrg, list(S), (37, 10)),
+        ("small/m=23/Z=7", SMALL, LAMBDAS, sqn_svrg, [S.UNIFORM_BATCH],
          (23, 7)),
-        ("line/m=37/Z=10", dict(n=40, d=1, noise=0.1, seed=7), LAMBDAS,
-         sqn_svrg, [S.UNIFORM_BATCH, S.WEIGHTED_SINGLE], (37, 10)),
+        ("line/m=37/Z=10", *INSTANCES["line"], sqn_svrg,
+         [S.UNIFORM_BATCH, S.WEIGHTED_SINGLE], (37, 10)),
     ]
     for loss in proxsqn.LossKind:
         for size, spec_kw, lams, kinds, schemes, (m, Z) in sets:
@@ -122,6 +131,36 @@ def solver_runs(proxsqn):
                                 f"{kind.value}/{scheme.value}")
                         yield (name,) + _run_hash(proxsqn, obj, reg, cfg,
                                                   p_star)
+
+
+def _reference_hash(proxsqn, obj, reg, **kw):
+    h = hashlib.sha256()
+    try:
+        x, p_star = proxsqn.reference_solution(obj, reg, **kw)
+    except proxsqn.ConvergenceError as exc:
+        h.update(f"{type(exc).__name__}: {exc}".encode())
+        return h.hexdigest(), []
+    h.update(x.tobytes())
+    h.update(repr(p_star).encode())
+    return h.hexdigest(), [p_star]
+
+
+def reference_runs(proxsqn):
+    """(name, hash, [P*]) for reference_solution on each instance, per loss
+    and lambda1; then one run capped at 3 iterations, which raises."""
+    for loss in proxsqn.LossKind:
+        for size, (spec_kw, lams) in INSTANCES.items():
+            obj = _instance(proxsqn, loss, spec_kw)
+            for lam in lams:
+                reg = proxsqn.Regularizer(
+                    proxsqn.RegKind.L1 if lam else proxsqn.RegKind.ZERO, lam)
+                yield ((f"reference/{size}/{loss.value}/l1={lam}",)
+                       + _reference_hash(proxsqn, obj, reg))
+    loss = proxsqn.LossKind.LOGISTIC_RIDGE
+    yield ((f"reference/small/{loss.value}/l1=0.02/max_iter=3",)
+           + _reference_hash(proxsqn, _instance(proxsqn, loss, SMALL),
+                             proxsqn.Regularizer(proxsqn.RegKind.L1, 0.02),
+                             max_iter=3))
 
 
 CLI_CONFIG = """loss = {loss}
@@ -327,7 +366,8 @@ def prox_runs(proxsqn):
 
 def emit():
     import proxsqn
-    for name, digest, objs in (*solver_runs(proxsqn), *cli_runs(proxsqn),
+    for name, digest, objs in (*solver_runs(proxsqn),
+                               *reference_runs(proxsqn), *cli_runs(proxsqn),
                                *check_runs(proxsqn),
                                *enumeration_runs(proxsqn),
                                *parse_runs(proxsqn), *prox_runs(proxsqn)):
