@@ -392,29 +392,40 @@ def rate_plan(bounds: MetricBounds, l_q: float, mu: float, m: int,
     return RateReport(eta_max, rho, feasible, m_min)
 
 
-def estimate_smoothness(obj: SmoothObjective, iters: int = 200,
-                        seed: int = 0) -> float:
-    """Upper bound on L_F = sigma_max(hess F) by power iteration.
+def estimate_smoothness(obj: SmoothObjective) -> float:
+    """Upper bound on L_F = sigma_max(hess F) by the Lanczos recurrence.
 
     Squared error uses the exact Gram operator; logistic uses the global
-    curvature bound (1/4) A'A / n + ridge.
+    curvature bound (1/4) A'A / n + ridge. The three-term recurrence runs
+    from a seeded unit vector, in O(d) memory, until the top Ritz value
+    theta <= L_F settles to 1e-12, the Krylov space closes or min(d, 200)
+    products; it returns 1.01 theta + 1e-12.
     """
     A = obj.dataset.to_csr()
     scale = LOSSES[obj.loss].curvature_bound
-    rng = make_rng(seed)
-    v = rng.standard_normal(obj.d)
+    v = make_rng(0).standard_normal(obj.d)
     v /= np.linalg.norm(v)
-    lam = 0.0
+    alphas, betas = [], []
+    v_prev, beta, theta = 0.0, 0.0, 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(iters):
+        for k in range(min(obj.d, 200)):
             w = scale * (A.T @ (A @ v)) / obj.n + obj.ridge * v
-            lam = float(np.linalg.norm(w))
-            # an overflowed lam (inf or nan) is returned as it is: scaling
-            # v by it would zero v, and the estimate would read the ridge
-            if not 0.0 < lam < math.inf:
-                return obj.ridge if lam == 0.0 else lam
-            v = w / lam
-    return 1.01 * lam + 1e-12
+            norm = float(np.linalg.norm(w))
+            # an overflowed product (inf or nan) is returned as it is; a
+            # first one that underflows to 0 leaves the ridge
+            if not norm < math.inf or k == 0 and norm == 0.0:
+                return obj.ridge if norm == 0.0 else norm
+            alphas.append(float(v @ w))
+            w -= alphas[-1] * v
+            w -= beta * v_prev
+            prev, theta = theta, float(np.linalg.eigvalsh(
+                np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))[-1])
+            beta = float(np.linalg.norm(w))
+            if abs(theta - prev) <= 1e-12 * theta or beta <= 1e-14 * theta:
+                break
+            betas.append(beta)
+            v_prev, v = v, w / beta
+    return 1.01 * theta + 1e-12
 
 
 def reference_solution(obj: SmoothObjective, reg: Regularizer,

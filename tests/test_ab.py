@@ -1,13 +1,14 @@
-"""The gain rule of tools/ab.py, on fixed numbers."""
+"""The gain and bound rules of tools/ab.py, on fixed numbers."""
 
+import json
 import os
 import sys
 
 import pytest
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "tools"))
-from ab import quartiles, verdict  # noqa: E402
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "tools"))
+from ab import bound_label, quartiles, rules, verdict  # noqa: E402
 
 PARENT = [2.00, 2.10, 1.90, 2.05, 1.95, 2.02, 1.98, 2.08, 1.92, 2.00]
 
@@ -58,3 +59,36 @@ def test_unpaired_runs_are_refused():
         verdict(PARENT, PARENT[:9])
     with pytest.raises(ValueError):
         verdict([], [])
+
+
+def test_bound_label_worse_past_the_bound():
+    # parent median 2.0, IQR 0.085: 25% of it is 0.5
+    assert bound_label(PARENT, [x + 0.6 for x in PARENT], 0.25) == "worse"
+    assert bound_label(PARENT, [x + 0.4 for x in PARENT], 0.25) == "ok"
+    assert bound_label(PARENT, [x - 0.6 for x in PARENT], 0.25) == "ok"
+
+
+def test_bound_label_higher_is_better_flips_the_sign():
+    lower = [x - 0.6 for x in PARENT]
+    assert bound_label(PARENT, lower, 0.25, better="higher") == "worse"
+    assert bound_label(PARENT, [x + 0.6 for x in PARENT], 0.25,
+                       better="higher") == "ok"
+
+
+def test_bound_label_unresolved_when_the_parent_spreads_past_it():
+    # IQR 0.085 on a median of 2.0 is 4.25%: a 4% bound cannot resolve it
+    assert bound_label(PARENT, PARENT, 0.04) == "unresolved"
+    assert bound_label(PARENT, PARENT, 0.05) == "ok"
+    # a change past the bound is reported worse all the same
+    assert bound_label(PARENT, [x + 0.1 for x in PARENT], 0.04) == "worse"
+
+
+def test_rules_read_directions_and_bounds_from_the_benchmark():
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        better, bounds = rules(json.load(f))
+    assert better["metric.rebuilds"] == "higher"
+    assert better["prox.scaled_us"] == "lower"
+    assert better["setup_s"] == "lower"
+    assert bounds["setup_s"] == 0.25
+    assert bounds["sqn.evals_1e-6"] == 0.05
+    assert "metric.rebuilds" not in bounds

@@ -599,6 +599,49 @@ def test_estimate_smoothness_bounds(midsize):
     assert true_L <= est <= 1.02 * true_L
 
 
+def test_estimate_smoothness_matches_the_top_eigenvalue(midsize):
+    A = midsize.dataset.to_csr().toarray()
+    Q = A.T @ A / midsize.n + midsize.ridge * np.eye(midsize.d)
+    est = estimate_smoothness(midsize)
+    assert est == pytest.approx(1.01 * np.linalg.eigvalsh(Q)[-1], rel=1e-8)
+
+
+def test_estimate_smoothness_bounds_a_clustered_spectrum():
+    # A'A/n = diag(0.98, ..., 1.0, ..., 0.98) at d = n = 1e4: 200 power
+    # steps read 0.99654, below L_F = 1
+    d = 10000
+    diag = np.full(d, 0.98)
+    diag[d // 2] = 1.0
+    rows = [(np.array([j]), np.array([math.sqrt(diag[j] * d)]))
+            for j in range(d)]
+    ds = Dataset.from_rows(rows, np.ones(d), d)
+    obj = SmoothObjective.build(ds, LossKind.SQUARED_ERROR, 0.0)
+    assert 1.0 <= estimate_smoothness(obj) <= 1.02
+
+
+@pytest.mark.parametrize("loss, rows, d", [
+    (LossKind.SQUARED_ERROR, [([0], [2.0]), ([0], [-1.0])], 1),
+    (LossKind.LOGISTIC_RIDGE, [([0], [3.0])], 1),
+    (LossKind.SQUARED_ERROR, [([0, 1], [1.0, 2.0]), ([1], [0.5])], 2),
+    (LossKind.LOGISTIC_RIDGE, [([0, 1], [1.0, -3.0]), ([0], [2.0])], 2),
+])
+def test_estimate_smoothness_is_exact_at_small_d(loss, rows, d):
+    # the Krylov space is the whole space after d products
+    rows = [(np.array(j), np.array(v)) for j, v in rows]
+    ds = Dataset.from_rows(rows, np.ones(len(rows)), d)
+    obj = SmoothObjective.build(ds, loss, 0.1)
+    A = ds.to_csr().toarray()
+    scale = 0.25 if loss is LossKind.LOGISTIC_RIDGE else 1.0
+    top = np.linalg.eigvalsh(scale * A.T @ A / obj.n + 0.1 * np.eye(d))[-1]
+    assert estimate_smoothness(obj) == pytest.approx(1.01 * top + 1e-12,
+                                                     rel=1e-14)
+
+
+def test_estimate_smoothness_is_deterministic(midsize):
+    first = estimate_smoothness(midsize)
+    assert repr(estimate_smoothness(midsize)) == repr(first)
+
+
 def _column_instance(loss, ridge, entries, labels):
     rows = [(np.array([j]), np.array([v])) for j, v in entries]
     ds = Dataset.from_rows(rows, np.array(labels), 2)
@@ -664,7 +707,7 @@ def test_reference_solution_rejects_nan_tol(midsize, lasso_reg):
 
 def test_reference_solution_rejects_nonfinite_smoothness(midsize, lasso_reg,
                                                         monkeypatch):
-    # entries near 1e160 overflow the power iteration to nan; a nan step
+    # entries near 1e160 overflow the smoothness estimate to nan; a nan step
     # must not reach the prox
     monkeypatch.setattr("proxsqn.solver.estimate_smoothness",
                         lambda obj: math.nan)

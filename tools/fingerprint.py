@@ -10,6 +10,7 @@ breakpoints, lambda1 in {0, 0.002}); then ProxSQN and ProxSVRG with
 m % Z != 0, on the small instance (m=37, Z=10 and m=23, Z=7) and at d=1
 (m=37, Z=10); then reference_solution on each of those three instances,
 per loss and lambda1, and once capped at max_iter=3, where it raises;
+then estimate_smoothness on each of them per loss (the smoothness/* runs);
 then `proxsqn run` on one config per
 loss and lambda1 in {0, 0.02}, with all five solvers; then each property
 check of `run_checks("fast")`; then the exact estimator moments of
@@ -27,7 +28,7 @@ its name, a SHA-256 hash and its per-epoch objectives ("-" when it has
 none). A solver run's hash covers every TraceRecord field except
 elapsed_ns, the final x bytes and the RunResult counters; a reference
 run's covers the bytes of x* and repr(P*), or the ConvergenceError's
-message; a CLI run's
+message; a smoothness run's covers the estimate's repr; a CLI run's
 covers its exit code and each CSV with the elapsed_ns column cut off. A
 run that raises hashes the exception's type and message instead. A check's
 hash covers its name, pass flag, margin repr and detail; an enumeration's
@@ -161,6 +162,16 @@ def reference_runs(proxsqn):
            + _reference_hash(proxsqn, _instance(proxsqn, loss, SMALL),
                              proxsqn.Regularizer(proxsqn.RegKind.L1, 0.02),
                              max_iter=3))
+
+
+def smoothness_runs(proxsqn):
+    """(name, hash, []) for estimate_smoothness on each instance, per loss."""
+    from proxsqn.solver import estimate_smoothness
+    for loss in proxsqn.LossKind:
+        for size, (spec_kw, _) in INSTANCES.items():
+            est = estimate_smoothness(_instance(proxsqn, loss, spec_kw))
+            yield (f"smoothness/{size}/{loss.value}",
+                   hashlib.sha256(repr(est).encode()).hexdigest(), [])
 
 
 CLI_CONFIG = """loss = {loss}
@@ -367,7 +378,8 @@ def prox_runs(proxsqn):
 def emit():
     import proxsqn
     for name, digest, objs in (*solver_runs(proxsqn),
-                               *reference_runs(proxsqn), *cli_runs(proxsqn),
+                               *reference_runs(proxsqn),
+                               *smoothness_runs(proxsqn), *cli_runs(proxsqn),
                                *check_runs(proxsqn),
                                *enumeration_runs(proxsqn),
                                *parse_runs(proxsqn), *prox_runs(proxsqn)):
