@@ -3,9 +3,11 @@ variance-reduced gradients and a scaled proximal mapping, plus first-order
 baselines, dataset tooling, and a property-check suite.
 """
 
+from types import ModuleType as _ModuleType
+
 from .config import ExperimentConfig, parse_config, serialize_config
-from .dataio import SyntheticSpec, datasets_equal, generate_synthetic, \
-    parse_libsvm, write_libsvm
+from .dataio import SyntheticSpec, generate_synthetic, parse_libsvm, \
+    write_libsvm
 from .errors import ConfigError, ConvergenceError, DivergenceError, \
     EnumerationLimitError, LibsvmFormatError, NegativeCurvatureError, \
     SecantError
@@ -26,4 +28,6 @@ from .verify import CheckResult, run_checks
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names, without the submodules that the imports above bind
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

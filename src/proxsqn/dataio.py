@@ -179,14 +179,6 @@ def write_libsvm(ds: Dataset) -> str:
     return "\n".join(lines) + "\n"
 
 
-def datasets_equal(a: Dataset, b: Dataset) -> bool:
-    return (a.d == b.d
-            and np.array_equal(a.indptr, b.indptr)
-            and np.array_equal(a.indices, b.indices)
-            and np.array_equal(a.values, b.values)
-            and np.array_equal(a.labels, b.labels))
-
-
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Recipe for a random sparse instance, deterministic in seed."""

@@ -10,9 +10,10 @@ add a LossKind member and a Loss entry: value, gradient coefficient, the
 estimator's snapshot part and the coefficient difference built from it,
 curvature weight and bound, label rule.
 
-Rows a_i are stored sparse (CSR triplet) and every per-component oracle is
-O(nnz(a_i)). Batch quantities are sums over the index set, not averages;
-full_gradient is the n-average.
+Rows a_i are stored sparse (CSR triplet) and every batch kernel is
+O(nnz(batch)). Batch quantities are sums over the index set, not averages;
+full_gradient is the n-average. SmoothObjective computes its constants:
+L_i = (the loss's curvature bound) ||a_i||^2 + ridge, and mu = ridge.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ class Dataset:
     values: np.ndarray
     labels: np.ndarray
     d: int
-    _csr: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
+    _csr: sp.csr_matrix | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.indptr = np.asarray(self.indptr, dtype=np.int64)
@@ -127,21 +128,6 @@ class Dataset:
     def nnz(self) -> int:
         return self.indices.shape[0]
 
-    @classmethod
-    def from_rows(cls, rows, labels, d):
-        """Build from a list of (indices, values) pairs, one per row."""
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        idx_parts, val_parts = [], []
-        for k, (idx, val) in enumerate(rows):
-            idx = np.asarray(idx, dtype=np.int64)
-            val = np.asarray(val, dtype=np.float64)
-            indptr[k + 1] = indptr[k] + idx.size
-            idx_parts.append(idx)
-            val_parts.append(val)
-        indices = np.concatenate(idx_parts) if idx_parts else np.zeros(0, np.int64)
-        values = np.concatenate(val_parts) if val_parts else np.zeros(0, np.float64)
-        return cls(indptr, indices, values, np.asarray(labels, np.float64), d)
-
     def row(self, i: int):
         """Views of row i's (indices, values)."""
         lo, hi = self.indptr[i], self.indptr[i + 1]
@@ -157,26 +143,25 @@ class Dataset:
 
 @dataclass(eq=False)
 class SmoothObjective:
-    """F(x) = (1/n) sum f_i(x) with per-component smoothness constants.
-
-    component_lipschitz holds L_i (closed form by default, overridable for
-    sharper data-dependent constants); strong_convexity is the conservative
-    mu = ridge unless overridden. Invariants L_i > 0 and mu <= min L_i are
-    enforced at build time.
+    """F(x) = (1/n) sum f_i(x) with the smoothness constants it computes:
+    component_lipschitz holds the closed-form L_i, and strong_convexity is
+    the conservative mu = ridge.
     """
 
     dataset: Dataset
     loss: LossKind
     ridge: float
-    component_lipschitz: np.ndarray
-    strong_convexity: float
+    component_lipschitz: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        L = np.asarray(self.component_lipschitz, dtype=np.float64)
-        if L.shape != (self.dataset.n,):
-            raise ValueError("component_lipschitz must have one entry per row")
         if not 0.0 <= self.ridge < math.inf:
             raise ValueError("ridge must be >= 0 and finite")
+        ds = self.dataset
+        sq_norms = np.zeros(ds.n)
+        with np.errstate(over="ignore"):  # an inf L_i is rejected next
+            np.add.at(sq_norms, np.repeat(np.arange(ds.n), np.diff(ds.indptr)),
+                      ds.values ** 2)
+        L = LOSSES[self.loss].curvature_bound * sq_norms + self.ridge
         bad = np.flatnonzero(~np.isfinite(L))
         if bad.size:  # a row whose squared values overflow, say
             raise ValueError(f"row {bad[0] + 1}: component Lipschitz constant "
@@ -185,12 +170,20 @@ class SmoothObjective:
             raise ValueError(
                 "every component needs L_i > 0; add ridge > 0 or drop empty rows"
             )
-        if not 0.0 <= self.strong_convexity <= L.min() + 1e-12:
-            raise ValueError("need 0 <= mu <= min_i L_i")
         if LOSSES[self.loss].binary_labels and \
-                not np.all(np.isin(self.dataset.labels, (-1.0, 1.0))):
+                not np.all(np.isin(ds.labels, (-1.0, 1.0))):
             raise ValueError(f"{self.loss.value} loss needs labels in {{-1, +1}}")
         self.component_lipschitz = L
+
+    @classmethod
+    def build(cls, dataset, loss, ridge=0.0):
+        """SmoothObjective(dataset, loss, ridge), by the name callers use."""
+        return cls(dataset, loss, ridge)
+
+    @property
+    def strong_convexity(self) -> float:
+        """mu = ridge."""
+        return self.ridge
 
     @property
     def n(self) -> int:
@@ -204,20 +197,6 @@ class SmoothObjective:
     def lipschitz_mean(self) -> float:
         """L_Q = (1/n) sum_i L_i."""
         return float(np.mean(self.component_lipschitz))
-
-    @classmethod
-    def build(cls, dataset, loss, ridge=0.0, component_lipschitz=None,
-              strong_convexity=None):
-        if component_lipschitz is None:
-            sq_norms = np.zeros(dataset.n)
-            with np.errstate(over="ignore"):  # an inf L_i is rejected next
-                np.add.at(sq_norms, np.repeat(np.arange(dataset.n),
-                                              np.diff(dataset.indptr)),
-                          dataset.values ** 2)
-            component_lipschitz = LOSSES[loss].curvature_bound * sq_norms + ridge
-        if strong_convexity is None:
-            strong_convexity = ridge
-        return cls(dataset, loss, ridge, component_lipschitz, strong_convexity)
 
 
 def smooth_value(obj: SmoothObjective, x: np.ndarray) -> float:

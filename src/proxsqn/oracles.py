@@ -1,5 +1,5 @@
-"""Independent oracles that `proxsqn.verify` and the tests compare the
-library's fast paths against; no solver calls them.
+"""Independent references that `proxsqn.verify` and the tests compare the
+metric and the scaled prox against; no solver calls them.
 """
 
 from __future__ import annotations
@@ -8,35 +8,10 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .metric import Metric
-from .model import LOSSES, SmoothObjective, batch_slabs
 from .prox import Regularizer, ScaledProxProblem
 
-__all__ = ["component_gradient", "batch_gradient", "dense_inverse",
-           "dense_metric", "subproblem_oracle", "kkt_residual"]
-
-
-def component_gradient(obj: SmoothObjective, i: int, x: np.ndarray) -> np.ndarray:
-    """grad f_i(x), O(nnz) plus the dense ridge term."""
-    if not 0 <= i < obj.n:
-        raise IndexError(f"component {i} out of range")
-    idx, val = obj.dataset.row(i)
-    zi = float(val @ x[idx])
-    g = obj.ridge * x
-    g[idx] += LOSSES[obj.loss].coef(zi, obj.dataset.labels[i]) * val
-    return g
-
-
-def batch_gradient(obj: SmoothObjective, batch: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """grad f_S(x) = sum_{i in S} grad f_i(x). S is a sum, not an average."""
-    batch = np.asarray(batch, dtype=np.int64)
-    if batch.size == 0:
-        raise ValueError("batch must be nonempty")
-    cols, vals, rid = batch_slabs(obj.dataset, batch)
-    z = np.bincount(rid, weights=vals * x[cols], minlength=batch.size)
-    coef = LOSSES[obj.loss].coef(z, obj.dataset.labels[batch])
-    acc = np.bincount(cols, weights=coef[rid] * vals, minlength=obj.d)
-    acc += (batch.size * obj.ridge) * x
-    return acc
+__all__ = ["dense_inverse", "dense_metric", "subproblem_oracle",
+           "kkt_residual"]
 
 
 def dense_inverse(metric: Metric) -> np.ndarray:

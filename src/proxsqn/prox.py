@@ -182,15 +182,16 @@ def _solve_root(reg, prob):
     bracket: the solve takes the secant point through the end nearer 0 and
     a probe at most 1 + |that end| from it (none when the other end is that
     close), then at most _POLISH bracketed Newton steps, which the rounding
-    of a secant from a far end (a start of 1e6, say) needs. A secant from
-    an infinite g, as when g overflows at the probe, is nan, and so is the
-    y it returns. The solve stops as soon as |g| is at its rounding floor,
-    and after the secant also when the Newton steps are spent or leave the
-    bracket. A start at the previous root under the same metric usually
-    lies on the root's piece already, so one Newton step ends the solve.
-    With d coordinates it makes at most
-    _NEWTON_ITERS + floor(log2 2d) + 6 evaluations: the start, the Newton
-    steps, floor(log2 2d) + 1 medians, the probe, the secant and the polish.
+    of a secant from a far end (a start of 1e6, say) needs. An open end of
+    the bracket has g = -inf or +inf, so a secant from it or from a g that
+    overflows (at the probe, say) is nan, and so is the y it returns. The
+    solve stops as soon as |g| is at its rounding floor, and after the
+    secant also when the Newton steps are spent or leave the bracket. A
+    start at the previous root under the same metric usually lies on the
+    root's piece already, so one Newton step ends the solve. With d
+    coordinates it makes at most _NEWTON_ITERS + floor(log2 2d) + 6
+    evaluations: the start, the Newton steps, floor(log2 2d) + 1 medians,
+    the probe, the secant and the polish.
     """
     w, t, neg_t = prob._parts(reg.lambda1)
     u, x, slope = prob.rank1, prob.x, prob._slope
@@ -215,7 +216,7 @@ def _solve_root(reg, prob):
         np.not_equal(y, 0.0, out=active)
         return beta - gb / (1.0 + slope.dot(active))
 
-    lo, hi, g_lo, g_hi = -math.inf, math.inf, None, None
+    lo, hi, g_lo, g_hi = -math.inf, math.inf, -math.inf, math.inf
     beta = float(prob.beta0) if math.isfinite(prob.beta0) else 0.0
     steps, cand, affine = _NEWTON_ITERS, None, False
     while True:
@@ -229,7 +230,7 @@ def _solve_root(reg, prob):
         if steps:  # a Newton point that does not move fails the test too
             steps -= 1
             step = newton(beta, gb)
-            if not lo < step < hi and g_lo is not None and g_hi is not None:
+            if not lo < step < hi:
                 step = lo - g_lo * (hi - lo) / (g_hi - g_lo)
             if lo < step < hi:
                 beta = step

@@ -239,17 +239,15 @@ def gather_batches(obj: SmoothObjective, snapshot: SnapshotState,
                 snapshot_coef=st[t], ridge_coef=ridge[t])
 
 
-def vr_gradient(obj: SmoothObjective, snapshot: SnapshotState, batch: Batch,
+def vr_gradient(obj: SmoothObjective, batch: Batch,
                 x: np.ndarray) -> np.ndarray:
-    """Variance-reduced gradient estimate at x, from the snapshot terms the
-    batch carries; a batch of another snapshot raises ValueError.
+    """Variance-reduced gradient estimate at x, against the snapshot the
+    batch was gathered with, from the snapshot terms it carries.
 
     The uniform full batch collapses to grad F(x) exactly (same reduction as
     full_gradient, bit for bit), and x identical to the snapshot point gives
     v = grad F(xt) exactly since the difference coefficients vanish.
     """
-    if batch.snapshot is not snapshot:
-        raise ValueError("batch was gathered against another snapshot")
     if batch.full:
         return full_gradient(obj, x)
     k = batch.indices.size
@@ -259,10 +257,10 @@ def vr_gradient(obj: SmoothObjective, snapshot: SnapshotState, batch: Batch,
         / batch.weights
     diff = np.bincount(cols, weights=cw[rid] * vals, minlength=obj.d)
     # the ridge and snapshot terms added in place, bit for bit
-    ridge = np.subtract(x, snapshot.x_tilde)
+    ridge = np.subtract(x, batch.snapshot.x_tilde)
     ridge *= batch.ridge_coef
     diff += ridge
-    diff += snapshot.full_grad
+    diff += batch.snapshot.full_grad
     return diff
 
 
@@ -314,7 +312,7 @@ def enumerate_estimator_stats(obj: SmoothObjective, snapshot: SnapshotState,
     g = full_gradient(obj, x)
     mean, second, total_p = np.zeros(obj.d), 0.0, 0.0
     for prob, batch in zip(probs, batches):
-        v = vr_gradient(obj, snapshot, batch, x)
+        v = vr_gradient(obj, batch, x)
         mean += prob * v
         dev = v - g
         second += prob * float(dev @ dev)

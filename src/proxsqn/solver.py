@@ -185,7 +185,7 @@ def _run_inner_loop(obj, reg, config, p_star):
             batches = sampler.draw_epoch(config.m, snapshot)
             for j, batch in enumerate(batches):
                 g = (s - 1) * config.m + j + 1
-                v = vr_gradient(obj, snapshot, batch, x)
+                v = vr_gradient(obj, batch, x)
                 grad_evals += (obj.n if batch.full
                                else 2 * batch.indices.size)
                 # x - eta * (...) in place, bit for bit: v is this step's

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from dataset_helpers import from_rows
 from proxsqn import (
-    Dataset,
     LossKind,
     RegKind,
     Regularizer,
@@ -26,7 +26,7 @@ def sq_small():
         (np.array([2]), np.array([-0.9])),
     ]
     labels = np.array([0.3, -1.2, 2.0, -0.5, 0.8, 1.1])
-    ds = Dataset.from_rows(rows, labels, 4)
+    ds = from_rows(rows, labels, 4)
     return SmoothObjective.build(ds, LossKind.SQUARED_ERROR, ridge=0.1)
 
 

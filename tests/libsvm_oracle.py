@@ -8,6 +8,7 @@ import re
 
 import numpy as np
 
+from dataset_helpers import from_rows
 from proxsqn import Dataset, LibsvmFormatError
 
 _TOKEN = re.compile(r"\S+")
@@ -75,7 +76,7 @@ def parse_libsvm(text: str, d: int | None = None,
     elif d < max_index:
         raise ValueError(f"d = {d} smaller than largest index {max_index}")
     lab = np.asarray(labels, np.float64)
-    ds = Dataset.from_rows(
+    ds = from_rows(
         rows, np.where(lab <= 0.0, -1.0, 1.0) if binary_labels else lab, d)
     # one vectorized pass; the position is searched only on failure
     if not (np.isfinite(lab).all() and np.isfinite(ds.values).all()):

@@ -5,8 +5,8 @@ planted point, bit for bit, on every spec.
 
 import numpy as np
 
+from dataset_helpers import from_rows
 from floyd_oracle import floyd_sample
-from proxsqn import Dataset
 from proxsqn.model import LOSSES
 from proxsqn.sampler import make_rng
 
@@ -36,4 +36,4 @@ def generate_synthetic(spec):
         labels = np.where(margins > 0.0, 1.0, -1.0)
     else:
         labels = margins
-    return Dataset.from_rows(rows, labels, d), x_true
+    return from_rows(rows, labels, d), x_true

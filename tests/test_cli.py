@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from dataset_helpers import datasets_equal
 import proxsqn
 from proxsqn import (
     SyntheticSpec,
-    datasets_equal,
     generate_synthetic,
     parse_libsvm,
 )

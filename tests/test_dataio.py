@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from dataset_helpers import datasets_equal, from_rows
 from libsvm_oracle import parse_libsvm as oracle_parse
 from synthetic_oracle import generate_synthetic as oracle_generate
 from proxsqn import dataio
 from proxsqn import (
-    Dataset,
     LibsvmFormatError,
     LossKind,
     SyntheticSpec,
-    datasets_equal,
     generate_synthetic,
     parse_libsvm,
     write_libsvm,
@@ -208,7 +207,7 @@ def test_parse_matches_line_oracle(monkeypatch, block_lines, binary_labels,
 
 
 def test_write_libsvm_exact_text():
-    ds = Dataset.from_rows(
+    ds = from_rows(
         [(np.array([0, 2]), np.array([0.5, -2.0])),
          (np.array([], np.int64), np.array([]))],
         np.array([1.0, -0.25]), 3)
@@ -228,14 +227,14 @@ def test_roundtrip_random_datasets():
             val = rng.standard_normal(k) * 10.0 ** rng.uniform(-18, 18, k)
             rows.append((idx, val))
         labels = rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 6, n)
-        ds = Dataset.from_rows(rows, labels, d)
+        ds = from_rows(rows, labels, d)
         back = parse_libsvm(write_libsvm(ds), d=d)
         assert datasets_equal(ds, back), f"trial {trial}"
 
 
 def test_roundtrip_awkward_floats():
     vals = np.array([0.1, 1e-300, -1e300, 1.0 + 2 ** -52, 5e-324])
-    ds = Dataset.from_rows(
+    ds = from_rows(
         [(np.arange(5, dtype=np.int64), vals)], np.array([1e-17]), 5)
     assert datasets_equal(ds, parse_libsvm(write_libsvm(ds)))
 

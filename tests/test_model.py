@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from dataset_helpers import from_rows
+from gradient_oracle import batch_gradient, component_gradient
 from proxsqn import (
     Dataset,
     LossKind,
@@ -12,7 +14,6 @@ from proxsqn import (
     smooth_value,
 )
 from proxsqn.model import batch_margins, batch_slabs
-from proxsqn.oracles import batch_gradient, component_gradient
 
 
 def num_grad(f, x, h=1e-6):
@@ -57,9 +58,9 @@ def test_dataset_validation():
 
 
 def test_dataset_empty_row_allowed():
-    ds = Dataset.from_rows([(np.array([], dtype=np.int64), np.array([])),
-                            (np.array([0]), np.array([2.0]))],
-                           np.array([1.0, -1.0]), 2)
+    ds = from_rows([(np.array([], dtype=np.int64), np.array([])),
+                    (np.array([0]), np.array([2.0]))],
+                   np.array([1.0, -1.0]), 2)
     obj = SmoothObjective.build(ds, LossKind.SQUARED_ERROR, ridge=0.5)
     assert obj.component_lipschitz[0] == 0.5  # ridge only
     # without ridge the empty row has L_i = 0, which is rejected
@@ -69,9 +70,6 @@ def test_dataset_empty_row_allowed():
 
 def test_objective_validation(sq_small):
     ds = sq_small.dataset
-    with pytest.raises(ValueError, match="mu"):
-        SmoothObjective.build(ds, LossKind.SQUARED_ERROR, ridge=0.1,
-                              strong_convexity=100.0)
     with pytest.raises(ValueError, match="labels"):
         SmoothObjective.build(ds, LossKind.LOGISTIC_RIDGE, ridge=0.1)
 
@@ -96,6 +94,9 @@ def test_component_lipschitz_closed_forms(sq_small, log_small):
             0.25 * (val @ val) + 0.15, rel=1e-15)
     assert sq_small.lipschitz_mean == pytest.approx(
         np.mean(sq_small.component_lipschitz))
+    # mu is the ridge
+    assert (sq_small.strong_convexity, log_small.strong_convexity) == \
+        (0.1, 0.15)
 
 
 # ---------------------------------------------------------------- values and gradients
@@ -122,8 +123,7 @@ def test_component_gradients_average_to_full(sq_small, log_small):
 
 
 def test_component_gradient_bounds():
-    ds = Dataset.from_rows([(np.array([0]), np.array([1.0]))],
-                           np.array([1.0]), 1)
+    ds = from_rows([(np.array([0]), np.array([1.0]))], np.array([1.0]), 1)
     obj = SmoothObjective.build(ds, LossKind.SQUARED_ERROR, ridge=0.1)
     with pytest.raises(IndexError):
         component_gradient(obj, 1, np.zeros(1))
@@ -158,9 +158,9 @@ def test_batch_slabs_and_margins(sq_small):
 
 
 def test_batch_slabs_empty_row():
-    ds = Dataset.from_rows([(np.array([], dtype=np.int64), np.array([])),
-                            (np.array([1]), np.array([3.0]))],
-                           np.array([0.0, 1.0]), 2)
+    ds = from_rows([(np.array([], dtype=np.int64), np.array([])),
+                    (np.array([1]), np.array([3.0]))],
+                   np.array([0.0, 1.0]), 2)
     cols, vals, rid = batch_slabs(ds, np.array([0, 1]))
     assert np.array_equal(rid, [1])
     assert np.array_equal(cols, [1])
@@ -219,16 +219,14 @@ def test_hessian_vec_gathers_its_batch_once(log_small, monkeypatch):
 
 def test_dense_hessian_limit():
     # d = 257 is one past the limit
-    ds = Dataset.from_rows([(np.array([0]), np.array([1.0]))],
-                           np.array([1.0]), 257)
+    ds = from_rows([(np.array([0]), np.array([1.0]))], np.array([1.0]), 257)
     obj = SmoothObjective.build(ds, LossKind.SQUARED_ERROR, ridge=0.1)
     with pytest.raises(ValueError, match="d = 257 exceeds dense limit 256"):
         dense_batch_hessian(obj, np.array([0]), np.zeros(obj.d))
 
 
 def test_smooth_value_squared_by_hand():
-    ds = Dataset.from_rows([(np.array([0]), np.array([2.0]))],
-                           np.array([3.0]), 1)
+    ds = from_rows([(np.array([0]), np.array([2.0]))], np.array([3.0]), 1)
     obj = SmoothObjective.build(ds, LossKind.SQUARED_ERROR, ridge=0.2)
     x = np.array([1.5])
     assert smooth_value(obj, x) == pytest.approx(0.5 * (3.0 - 3.0) ** 2
@@ -237,8 +235,7 @@ def test_smooth_value_squared_by_hand():
 
 
 def test_smooth_value_logistic_by_hand():
-    ds = Dataset.from_rows([(np.array([0]), np.array([1.0]))],
-                           np.array([-1.0]), 1)
+    ds = from_rows([(np.array([0]), np.array([1.0]))], np.array([-1.0]), 1)
     obj = SmoothObjective.build(ds, LossKind.LOGISTIC_RIDGE, ridge=0.0)
     x = np.array([0.7])
     assert smooth_value(obj, x) == pytest.approx(np.log1p(np.exp(0.7)))

@@ -461,6 +461,20 @@ def test_nonfinite_point_flows_through(bad, sign, start):
         assert info.evaluations <= evaluation_bound(d)
 
 
+def test_nan_point_past_every_breakpoint_gives_nan(start):
+    # every g is nan, so each evaluation moves hi; the medians walk it to
+    # about -1e308, where the affine branch's probe overflows to the open
+    # end lo, whose g is -inf: the secant is nan, not a TypeError
+    reg = Regularizer(RegKind.L1, 1e-3)
+    prob = ScaledProxProblem(np.ones(2), np.full(2, 0.1), -1, 1.0,
+                             np.array([math.nan, 1e307]), start)
+    with np.errstate(all="ignore"):
+        y, info = scaled_prox_info(reg, prob)
+    assert info.method == "newton"
+    assert np.isnan(y).all()
+    assert info.evaluations <= evaluation_bound(2)
+
+
 # ---------------------------------------------------------------- Newton steps and warm starts
 
 

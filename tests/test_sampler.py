@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from dataset_helpers import from_rows
 from floyd_oracle import floyd_sample
+from gradient_oracle import component_gradient
 from proxsqn import (
     EnumerationLimitError,
     LossKind,
@@ -22,7 +24,6 @@ from proxsqn import (
     vr_gradient,
 )
 from proxsqn.model import batch_slabs
-from proxsqn.oracles import component_gradient
 from proxsqn.sampler import _floyd_block, gather_batches
 
 
@@ -187,8 +188,8 @@ def test_draw_epoch_is_m_draws(fixture, kind, b, m, request):
         assert np.array_equal(batch.weights, ref.weights)
         assert batch.full == ref.full
         # the same bits from rows gathered in an epoch block or one batch alone
-        assert np.array_equal(vr_gradient(obj, snap, batch, x),
-                              vr_gradient(obj, snap, ref, x))
+        assert np.array_equal(vr_gradient(obj, batch, x),
+                              vr_gradient(obj, ref, x))
         if batch.full:
             continue
         assert np.array_equal(batch.labels, ds.labels[ref.indices])
@@ -235,23 +236,21 @@ def test_carried_snapshot_terms_are_the_per_step_ones(fixture, kind, b, m,
         snap = make_snapshot(obj, rng.standard_normal(obj.d))
         for batch in sampler.draw_epoch(m, snap):
             x = rng.standard_normal(obj.d)
-            assert np.array_equal(vr_gradient(obj, snap, batch, x),
+            assert np.array_equal(vr_gradient(obj, batch, x),
                                   vr_gradient_per_step(obj, snap, batch, x))
 
 
 @pytest.mark.parametrize("b", [2, 6])  # 6 = n: a full batch
-def test_batch_of_another_snapshot_raises(sq_small, b):
+def test_batch_carries_its_snapshot(sq_small, b):
+    # vr_gradient takes the snapshot from the batch: no other can meet it
     sampler = Sampler(sq_small, SamplingScheme(SchemeKind.UNIFORM_BATCH, b))
     rng = make_rng(50)
-    first = make_snapshot(sq_small, rng.standard_normal(sq_small.d))
-    batch = sampler.draw(first)
+    snap = make_snapshot(sq_small, rng.standard_normal(sq_small.d))
+    batch = sampler.draw(snap)
+    assert batch.snapshot is snap
     x = rng.standard_normal(sq_small.d)
-    vr_gradient(sq_small, first, batch, x)
-    # the next epoch's snapshot, and an equal copy of this one, are others
-    for other in (make_snapshot(sq_small, rng.standard_normal(sq_small.d)),
-                  make_snapshot(sq_small, first.x_tilde)):
-        with pytest.raises(ValueError, match="another snapshot"):
-            vr_gradient(sq_small, other, batch, x)
+    assert np.array_equal(vr_gradient(sq_small, batch, x),
+                          vr_gradient_per_step(sq_small, snap, batch, x))
 
 
 @pytest.mark.parametrize("kind,b,m", [(SchemeKind.UNIFORM_BATCH, 7, 60),
@@ -326,9 +325,9 @@ def test_weighted_batch_weights(sq_small):
 
 def test_weighted_batch_enumeration_guard():
     # C(30, 15) = 155 million blows the support guard
-    from proxsqn import Dataset, LossKind, SmoothObjective
+    from proxsqn import LossKind, SmoothObjective
     rows = [(np.array([0]), np.array([1.0]))] * 30
-    ds = Dataset.from_rows(rows, np.ones(30), 1)
+    ds = from_rows(rows, np.ones(30), 1)
     obj = SmoothObjective.build(ds, LossKind.SQUARED_ERROR, ridge=0.1)
     with pytest.raises(EnumerationLimitError):
         Sampler(obj, SamplingScheme(SchemeKind.WEIGHTED_BATCH, 15))
@@ -353,7 +352,7 @@ def test_vr_gradient_formula(sq_small, log_small):
         snap = make_snapshot(obj, xt)
         idx = np.array([1, 3, 4])
         w = np.array([2.0, 3.0, 5.0])
-        v = vr_gradient(obj, snap, one_batch(obj, snap, idx, w), x)
+        v = vr_gradient(obj, one_batch(obj, snap, idx, w), x)
         want = snap.full_grad.copy()
         for i, wi in zip(idx, w):
             want += (component_gradient(obj, int(i), x)
@@ -365,8 +364,8 @@ def test_vr_gradient_at_snapshot_is_exact(sq_small):
     rng = make_rng(44)
     x = rng.standard_normal(sq_small.d)
     snap = make_snapshot(sq_small, x)
-    v = vr_gradient(sq_small, snap,
-                    one_batch(sq_small, snap, [0, 2], [2.0, 2.0]), x)
+    batch = one_batch(sq_small, snap, [0, 2], [2.0, 2.0])
+    v = vr_gradient(sq_small, batch, x)
     assert np.array_equal(v, snap.full_grad)  # bitwise
 
 
@@ -376,7 +375,7 @@ def test_vr_gradient_full_batch_is_full_gradient(sq_small):
     xt = rng.standard_normal(sq_small.d)
     snap = make_snapshot(sq_small, xt)
     n = sq_small.n
-    v = vr_gradient(sq_small, snap, one_batch(
+    v = vr_gradient(sq_small, one_batch(
         sq_small, snap, np.arange(n), np.full(n, float(n)), True), x)
     assert np.array_equal(v, full_gradient(sq_small, x))  # bitwise
 
@@ -408,10 +407,10 @@ def test_estimator_unbiased_all_schemes(sq_small, kind, b):
 
 
 def test_enumeration_guard():
-    from proxsqn import Dataset, LossKind, SmoothObjective
+    from proxsqn import LossKind, SmoothObjective
 
     rows = [(np.array([0]), np.array([1.0]))] * 25
-    ds = Dataset.from_rows(rows, np.ones(25), 1)
+    ds = from_rows(rows, np.ones(25), 1)
     obj = SmoothObjective.build(ds, LossKind.SQUARED_ERROR, ridge=0.1)
     snap = make_snapshot(obj, np.zeros(1))
     with pytest.raises(EnumerationLimitError):

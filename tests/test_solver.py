@@ -4,11 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
+from dataset_helpers import from_rows
 from floyd_oracle import floyd_sample
 from proxsqn import (
     IDENTITY_BOUNDS,
     CurvaturePair,
-    Dataset,
     DivergenceError,
     LossKind,
     RegKind,
@@ -209,9 +209,9 @@ def test_anchors_are_means_of_the_step_start_points(midsize, lasso_reg,
     real_vr_gradient = solver_module.vr_gradient
     real_hessian_vec = solver_module.hessian_vec
 
-    def recording_vr_gradient(obj, snapshot, batch, x):
+    def recording_vr_gradient(obj, batch, x):
         starts.append(x.copy())
-        return real_vr_gradient(obj, snapshot, batch, x)
+        return real_vr_gradient(obj, batch, x)
 
     def recording_hessian_vec(obj, batch, x, s):
         pairs.append((len(starts), x.copy(), s.copy()))
@@ -235,7 +235,7 @@ def test_prox_gd_closed_form_quadratic():
     # least squares with diagonal design: x_{k+1} = (I - eta Q) x_k + eta c
     rows = [(np.array([j]), np.array([v]))
             for j, v in enumerate([1.0, 2.0, 0.5, 1.5])]
-    ds = Dataset.from_rows(rows, np.array([1.0, -2.0, 0.5, 3.0]), 4)
+    ds = from_rows(rows, np.array([1.0, -2.0, 0.5, 3.0]), 4)
     obj = SmoothObjective.build(ds, LossKind.SQUARED_ERROR, ridge=0.05)
     reg = Regularizer(RegKind.ZERO)
     A = ds.to_csr().toarray()
@@ -614,7 +614,7 @@ def test_estimate_smoothness_bounds_a_clustered_spectrum():
     diag[d // 2] = 1.0
     rows = [(np.array([j]), np.array([math.sqrt(diag[j] * d)]))
             for j in range(d)]
-    ds = Dataset.from_rows(rows, np.ones(d), d)
+    ds = from_rows(rows, np.ones(d), d)
     obj = SmoothObjective.build(ds, LossKind.SQUARED_ERROR, 0.0)
     assert 1.0 <= estimate_smoothness(obj) <= 1.02
 
@@ -628,7 +628,7 @@ def test_estimate_smoothness_bounds_a_clustered_spectrum():
 def test_estimate_smoothness_is_exact_at_small_d(loss, rows, d):
     # the Krylov space is the whole space after d products
     rows = [(np.array(j), np.array(v)) for j, v in rows]
-    ds = Dataset.from_rows(rows, np.ones(len(rows)), d)
+    ds = from_rows(rows, np.ones(len(rows)), d)
     obj = SmoothObjective.build(ds, loss, 0.1)
     A = ds.to_csr().toarray()
     scale = 0.25 if loss is LossKind.LOGISTIC_RIDGE else 1.0
@@ -644,7 +644,7 @@ def test_estimate_smoothness_is_deterministic(midsize):
 
 def _column_instance(loss, ridge, entries, labels):
     rows = [(np.array([j]), np.array([v])) for j, v in entries]
-    ds = Dataset.from_rows(rows, np.array(labels), 2)
+    ds = from_rows(rows, np.array(labels), 2)
     return SmoothObjective.build(ds, loss, ridge)
 
 

@@ -1,13 +1,19 @@
 """The public surface: what the package exports and what a config may set."""
 
+import types
+
+import numpy as np
 import pytest
 
 import proxsqn
 import proxsqn.oracles
-from proxsqn import ConfigError, SolverConfig, parse_config
+from proxsqn import ConfigError, Dataset, LossKind, SmoothObjective, \
+    SolverConfig, parse_config
 
-ORACLES = {"component_gradient", "batch_gradient", "dense_inverse",
-           "dense_metric", "subproblem_oracle", "kkt_residual"}
+# the references that proxsqn.verify uses; the gradient references the
+# tests need live in tests/gradient_oracle.py
+ORACLES = {"dense_inverse", "dense_metric", "subproblem_oracle",
+           "kkt_residual"}
 
 
 def test_oracles_live_outside_the_package_namespace():
@@ -32,3 +38,25 @@ def test_solver_config_has_no_guard_knobs(knob):
             f"solver.x.kind = prox_newton_full\nsolver.x.{knob} = 300\n")
     with pytest.raises(ConfigError, match=f"unknown solver field '{knob}'"):
         parse_config(text)
+
+
+def test_star_import_binds_no_module():
+    namespace = {}
+    exec("from proxsqn import *", namespace)
+    assert set(proxsqn.__all__) <= namespace.keys()
+    modules = [name for name, value in namespace.items()
+               if isinstance(value, types.ModuleType)]
+    assert not modules
+
+
+def test_constants_and_cache_are_not_constructor_arguments(sq_small):
+    ds = sq_small.dataset
+    with pytest.raises(TypeError):
+        SmoothObjective(ds, LossKind.SQUARED_ERROR, 0.1,
+                        component_lipschitz=np.ones(ds.n))
+    with pytest.raises(TypeError):
+        SmoothObjective.build(ds, LossKind.SQUARED_ERROR, 0.1,
+                              strong_convexity=0.1)
+    with pytest.raises(TypeError):
+        Dataset(ds.indptr, ds.indices, ds.values, ds.labels, ds.d,
+                _csr=ds.to_csr())
