@@ -62,20 +62,18 @@ def _fail(code: int, message: str):
 
 
 def _read_text(path: str, what: str) -> str:
-    """The text of a UTF-8 file; exit 1 when it cannot be read, or at the
-    first byte that is not UTF-8, found in the file's bytes and placed by
-    line and column as the parsers count them."""
+    """The text of a UTF-8 file, read once as bytes and decoded once; exit
+    1 when it cannot be read, or at its first byte that is not UTF-8,
+    placed by line and column as the parsers count them. Newlines stay as
+    they are: every parser splits with str.splitlines, which breaks at
+    \r\n, \r and \n alike."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         _fail(1, f"cannot read {what} {path}: {exc}")
-    except UnicodeDecodeError:
-        pass
-    with open(path, "rb") as fh:
-        data = fh.read()
     try:
-        return data.decode("utf-8")  # rewritten since the first read
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         at = exc.start
     # one stand-in character for the byte ends the last line at its column

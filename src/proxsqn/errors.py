@@ -2,7 +2,8 @@
 
 
 class NegativeCurvatureError(ValueError):
-    """Curvature pair has s'y <= 0, so no positive definite secant metric exists."""
+    """No positive definite metric: a pair with s'y <= 0, or a splitting
+    that is indefinite in floating point."""
 
 
 class SecantError(ValueError):

@@ -50,7 +50,6 @@ class Metric:
     alpha: float
     u: np.ndarray
     skipped: bool = False
-    anomalous: bool = False
 
     def __post_init__(self):
         self.u = np.asarray(self.u, dtype=np.float64)
@@ -71,11 +70,10 @@ def build_metric(pair: CurvaturePair, alpha: float,
     Raises NegativeCurvatureError when y = 0 or tau <= 0 (curvature pair
     inconsistent with a positive definite batch Hessian), and SecantError
     when the built metric misses H^{-1} y = s by more than a cheap guard
-    (rounding has broken the construction). The rank-one term
-    is skipped (u = 0) when (s - alpha tau y)'y <= eps ||y|| ||s - tau y||,
-    and also, defensively, when the squared-norm denominator (s - alpha tau
-    y)'y is nonpositive despite the skip test passing; that case is flagged
-    anomalous for the caller's counters.
+    (rounding has broken the construction). The rank-one term is kept
+    only when its squared-norm denominator (s - alpha tau y)'y exceeds both
+    0 and eps ||y|| ||s - tau y||; otherwise, a nan threshold included, it
+    is skipped (u = 0).
     """
     s, y = pair.s, pair.y
     ynorm2 = float(y @ y)
@@ -88,10 +86,8 @@ def build_metric(pair: CurvaturePair, alpha: float,
     resid = s - (alpha * tau) * y
     denom = float(resid @ y)
     rhs = skip_eps * math.sqrt(ynorm2) * float(np.linalg.norm(s - tau * y))
-    if denom <= rhs:
+    if not denom > max(rhs, 0.0):
         return Metric(tau, alpha, np.zeros_like(s), skipped=True)
-    if denom < 0.0:
-        return Metric(tau, alpha, np.zeros_like(s), skipped=True, anomalous=True)
     u = resid / math.sqrt(denom)
     m = Metric(tau, alpha, u)
     # cheap construction-time secant check; the property suite tightens this
@@ -114,12 +110,10 @@ def metric_as_splitting(metric: Metric):
 
     Sherman-Morrison: H = (1/(alpha tau)) I - u u' / (alpha tau (alpha tau +
     u'u)), always positive definite since w'D^{-1}w = u'u/(alpha tau + u'u)
-    < 1. A skipped metric returns rank1 = 0 (pure scaled identity).
+    < 1. A skipped metric (u = 0) gives rank1 = 0, a pure scaled identity.
     """
     at = metric.alpha * metric.tau
     diag = np.full(metric.d, 1.0 / at)
-    if metric.skipped:
-        return diag, np.zeros(metric.d), -1
     uu = float(metric.u @ metric.u)
     w = metric.u / math.sqrt(at * (at + uu))
     return diag, w, -1

@@ -158,14 +158,20 @@ class SmoothObjective:
             raise ValueError("ridge must be >= 0 and finite")
         ds = self.dataset
         sq_norms = np.zeros(ds.n)
-        with np.errstate(over="ignore"):  # an inf L_i is rejected next
+        with np.errstate(over="ignore"):  # an inf L_i or sum is rejected next
             np.add.at(sq_norms, np.repeat(np.arange(ds.n), np.diff(ds.indptr)),
                       ds.values ** 2)
-        L = LOSSES[self.loss].curvature_bound * sq_norms + self.ridge
+            L = LOSSES[self.loss].curvature_bound * sq_norms + self.ridge
+            total = float(np.sum(L))
         bad = np.flatnonzero(~np.isfinite(L))
         if bad.size:  # a row whose squared values overflow, say
             raise ValueError(f"row {bad[0] + 1}: component Lipschitz constant "
                              f"L_i = {float(L[bad[0]])} is not finite")
+        if not math.isfinite(total):  # finite L_i, but their sum overflows
+            i = int(np.argmax(L))
+            raise ValueError(f"row {i + 1}: the component Lipschitz constants "
+                             f"sum to {total}; this row's L_i = {L[i]:.6g} is "
+                             f"the largest")
         if not np.all(L > 0.0):
             raise ValueError(
                 "every component needs L_i > 0; add ridge > 0 or drop empty rows"

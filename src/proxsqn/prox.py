@@ -35,6 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NegativeCurvatureError
+
 _U_ZERO_TOL = 1e-14
 _NEWTON_ITERS = 10
 # g at a root on its affine piece, evaluated in floating point, is about
@@ -95,13 +97,13 @@ def prox(reg: Regularizer, x: np.ndarray, eta: float) -> np.ndarray:
 class ScaledProxProblem:
     """One scaled-prox instance: metric diag(D) + sign * u u', step eta, point x.
 
-    x and beta0, the Newton start, are the per-call inputs; the library
-    reads beta0 and never writes it, and a non-finite beta0 starts from 0.
-    The rest is fixed after construction: what depends on the metric and eta
-    alone is computed once, ||u|| here and D^{-1} u, the Newton slope
-    weights and the L1 thresholds (per lambda1) on first use.
-    Root solves write into the problem's scratch rows, so one problem serves
-    one solve at a time.
+    x and beta0, the Newton start, are the per-call inputs: the solver
+    writes both, scaled_prox_info neither, and a non-finite beta0 starts
+    from 0. What depends on the metric and eta alone is computed once,
+    ||u|| here and D^{-1} u, the Newton slope weights and the L1 thresholds
+    (per lambda1) on first use. Root solves write into the problem's scratch
+    rows, so one problem serves one solve at a time. A splitting that is not
+    positive definite in floating point raises NegativeCurvatureError.
     """
 
     diag: np.ndarray
@@ -129,19 +131,13 @@ class ScaledProxProblem:
         if self.sign == -1:
             s = float(np.sum(self.rank1 ** 2 / self.diag))
             if s >= 1.0:
-                raise ValueError(
+                raise NegativeCurvatureError(
                     f"metric not positive definite: u'D^-1 u = {s:.6g} >= 1"
                 )
         u = self.rank1
         self._unorm = math.sqrt(float(u.dot(u)))  # ||u||, as np.linalg.norm
         self._lambda1 = None  # _parts builds the rest on the first L1 solve
-        self._work = None
-
-    def _scratch(self):
-        """Two length-d work rows, allocated once per problem."""
-        if self._work is None:
-            self._work = np.empty((2, self.x.size))
-        return self._work
+        self._work = np.empty((2, self.x.size))
 
     def _parts(self, lambda1):
         """(w, t, -t): w = D^{-1} u and the L1 threshold of the diag(D)
@@ -197,7 +193,7 @@ def _solve_root(reg, prob):
     u, x, slope = prob.rank1, prob.x, prob._slope
     ux = float(u.dot(x))  # dot, not @: same ddot with less call overhead
     sgn = float(prob.sign)
-    z, active = prob._scratch()
+    z, active = prob._work
     y = np.empty_like(x)
     # |u|'|x| bounds the terms of u'x and, near the root, those of u'y
     floor = _ROUNDING * float(prob._abs_u.dot(np.abs(x, out=active)))
@@ -274,7 +270,8 @@ def scaled_prox_info(reg: Regularizer,
     if reg.lambda1 == 0.0:
         # prox of 0 in any metric is the identity
         return prob.x.copy(), RootInfo(0.0, 0.0, 0, "closed")
-    if prob._unorm < _U_ZERO_TOL:  # H is diagonal: prox in the D metric
+    # H = D: exact at any x, where the root solve's u'x is 0 * inf = nan
+    if prob._unorm < _U_ZERO_TOL:
         _, t, neg_t = prob._parts(reg.lambda1)
         return _soft_threshold(prob.x, neg_t, t), RootInfo(0.0, 0.0, 0, "diag")
     y, beta, res, evals = _solve_root(reg, prob)

@@ -198,8 +198,7 @@ def _run_inner_loop(obj, reg, config, p_star):
                     prob = curv.problem
                     np.subtract(x, np.multiply(apply_inverse(curv.metric, v),
                                                eta, out=prob.x), out=prob.x)
-                    # through the module, so that wrappers of
-                    # scaled_prox_info (the benchmark's tracer) see every call
+                    # via the module, so the benchmark's tracer sees every call
                     y, info = prox_module.scaled_prox_info(reg, prob)
                     prob.beta0 = info.beta
                     scaled_calls += 1
@@ -216,10 +215,10 @@ def _run_inner_loop(obj, reg, config, p_star):
 
 
 class _Curvature:
-    """The anchors and the metric of one ProxSQN run, on the schedule of
-    the module docstring: update(g, x) takes the point that step g started
-    from. A tiny s_r, or a pair without positive curvature, skips its
-    rebuild and counts as an anomaly, as does a metric built anomalous."""
+    """The anchors and the metric of one ProxSQN run, on the schedule of the
+    module docstring; update(g, x) takes step g's start point. A rebuild
+    makes a metric, counts an anomaly (tiny s_r, no positive curvature, or a
+    splitting that rounds to indefinite) or raises DivergenceError."""
 
     def __init__(self, obj, config):
         self.obj, self.config = obj, config
@@ -235,8 +234,7 @@ class _Curvature:
         self.batches = (T for _ in itertools.count()
                         for T in _floyd_block(rng, obj.n, b, rows))
         self.metric: Metric | None = None
-        # one problem per metric, its (diag, rank1, sign) part validated
-        # here; they share the row x, and the Newton start is the last root
+        # one problem per metric, all on the row x; beta0 is the last root
         self.problem: ScaledProxProblem | None = None
         self.point = np.zeros(obj.d)
         self.rebuilds = self.anomalies = 0
@@ -266,20 +264,19 @@ class _Curvature:
         try:
             metric = build_metric(CurvaturePair(sr, yr), self.config.alpha,
                                   self.config.skip_eps)
+            diag, rank1, sign = metric_as_splitting(metric)
+            # a non-finite y_r, or products of s_r and y_r that overflow,
+            # leave 1/(alpha tau) or u inf/nan
+            if not (np.isfinite(diag).all() and diag.all()
+                    and np.isfinite(rank1).all()):
+                raise DivergenceError(
+                    f"curvature pair not finite at iteration {g}")
+            problem = ScaledProxProblem(diag, rank1, sign, self.config.eta,
+                                        self.point)
         except NegativeCurvatureError:
             self.anomalies += 1
             return
-        self.anomalies += metric.anomalous
-        diag, rank1, sign = metric_as_splitting(metric)
-        # a non-finite y_r, or products of s_r and y_r that overflow,
-        # leave 1/(alpha tau) or u inf/nan
-        if not (np.isfinite(diag).all() and diag.all()
-                and np.isfinite(rank1).all()):
-            raise DivergenceError(
-                f"curvature pair not finite at iteration {g}")
-        self.metric = metric
-        self.problem = ScaledProxProblem(diag, rank1, sign, self.config.eta,
-                                         self.point)
+        self.metric, self.problem = metric, problem
         self.rebuilds += 1
 
 
@@ -357,7 +354,8 @@ def rate_plan(bounds: MetricBounds, l_q: float, mu: float, m: int,
               / [(eta gamma^2 - 4 eta^2 Gamma L_Q) mu m]
 
     feasible means 0 < rho < 1 at the given (eta, m). m_min is the smallest
-    m with rho < 1 at this eta (None when eta >= eta_max, where no m works).
+    m with rho < 1 at this eta, or None when eta >= eta_max (no m works) or
+    when it exceeds 2^49, where the doubling search stops.
     """
     if l_q <= 0.0 or mu <= 0.0 or m < 1 or eta <= 0.0:
         raise ValueError("need l_q > 0, mu > 0, m >= 1, eta > 0")

@@ -14,6 +14,7 @@ from proxsqn import (
     SyntheticSpec,
     generate_synthetic,
     parse_libsvm,
+    write_libsvm,
 )
 from proxsqn.cli import CSV_HEADER, main
 
@@ -216,6 +217,26 @@ def test_run_nonfinite_smoothness_falls_back_to_raw_traces(runner, tmp_path):
     assert "Traceback" not in res.output
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_run_overflowing_lipschitz_sum_exit_1(runner, tmp_path):
+    # each L_i is finite and their sum is not: an input error naming the
+    # row with the largest L_i, where both solvers used to diverge
+    data = tmp_path / "data.libsvm"
+    data.write_text("".join(f"1 1:{v}e154\n" for v in
+                            ("1.3", "1.2", "1.1", "1.0", "0.9")) + "1 2:1.0\n")
+    cfg = write_config(
+        tmp_path,
+        "loss = squared_error\nridge = 0.1\nlambda1 = 0.01\n"
+        f"dataset = {data}\nsolvers = fista, prox_svrg\n"
+        "solver.prox_svrg.b = 1\n")
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["--output", str(out), "run", cfg])
+    assert exited_cleanly(res, 1)
+    assert res.stderr.startswith(f"error: {data}: row 1: ")
+    assert res.stderr.count("\n") == 1
+    assert not out.exists()
+
+
 def test_run_without_reference_writes_raw_traces(runner, tmp_path,
                                                  monkeypatch):
     # no reference solution: a warning, and traces with an empty subopt
@@ -306,6 +327,29 @@ def test_non_utf8_config(runner, tmp_path, command):
     assert exited_cleanly(res, 1)
     assert res.stderr == (f"error: {path}: line 2, column 10: "
                           "not valid UTF-8 (byte 0xe9)\n")
+
+
+def test_crlf_and_cr_files_give_the_lf_traces(runner, tmp_path):
+    # the CLI decodes bytes without translating newlines; every parser
+    # splits lines at \r\n, \r and \n alike
+    ds, _ = generate_synthetic(SyntheticSpec(n=40, d=6, density=0.5,
+                                             condition=4.0, noise=0.1, seed=2))
+    text = write_libsvm(ds)
+    config = CONFIG.split("synthetic.n")[0] + CONFIG[CONFIG.index("solvers"):]
+    traces = {}
+    for name, newline in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
+        data = tmp_path / f"{name}.libsvm"
+        data.write_bytes(text.replace("\n", newline).encode())
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_bytes((config + f"dataset = {data}\n")
+                        .replace("\n", newline).encode())
+        out = tmp_path / name
+        res = runner.invoke(main, ["--output", str(out), "run", str(cfg)])
+        assert res.exit_code == 0, res.output
+        traces[name] = [strip_elapsed(read_lines(out / f"{name}_{solver}.csv"))
+                        for solver in ("sqn", "prox_gd")]
+    assert traces["crlf"] == traces["cr"] == traces["lf"]
+    assert len(traces["lf"][0]) == 4 and len(traces["lf"][1]) == 11
 
 
 @pytest.mark.parametrize("args,edit,message", [

@@ -6,6 +6,7 @@ from proxsqn import (
     Metric,
     MetricBounds,
     NegativeCurvatureError,
+    ScaledProxProblem,
     SecantError,
     apply_inverse,
     build_metric,
@@ -76,11 +77,39 @@ def test_skip_on_tiny_aligned_curvature():
     y = np.array([1.0, 0.0])
     s = np.array([1e-12, 1.0])
     m = build_metric(CurvaturePair(s, y), 0.5, skip_eps=1e-8)
-    assert m.skipped and not m.anomalous
+    assert m.skipped
     assert np.array_equal(m.u, np.zeros(2))
     # skipped metric still applies as a scaled identity
     v = np.array([2.0, -4.0])
     assert np.array_equal(apply_inverse(m, v), m.alpha * m.tau * v)
+
+
+def test_nan_skip_threshold_skips():
+    # ||s - tau y|| overflows, so eps * ||y|| * ||s - tau y|| = 0 * inf is
+    # nan: the rank-one term is kept only above a threshold that is a number
+    s, y = np.array([1e308, 1e308]), np.array([1.0, 0.0])
+    with np.errstate(over="ignore"):
+        m = build_metric(CurvaturePair(s, y), 0.5, skip_eps=0.0)
+    assert m.skipped and m.tau == 1e308
+    assert np.array_equal(m.u, np.zeros(2))
+
+
+@pytest.mark.parametrize("s,y,alpha", [
+    # s'y > 0, but (s - alpha tau y)'y rounds to 0 ...
+    (("0x1p+0", "0x1.fffffffffffffp-1"), ("0x1p+0", "-0x1.fffffffffffffp-1"),
+     0.5),
+    # ... and to -7.6e-17
+    (("-0x1.8767d72ff8274p-1", "-0x1.143d4e666660ap+0"),
+     ("-0x1.aa1d89aca34b5p-1", "0x1.2de206d40c24cp-1"), 0.9),
+], ids=["zero", "negative"])
+def test_nonpositive_denominator_skips_below_a_negative_threshold(s, y,
+                                                                  alpha):
+    s, y = (np.array([float.fromhex(v) for v in w]) for w in (s, y))
+    resid = s - (alpha * (s @ y) / (y @ y)) * y
+    assert s @ y > 0.0 and resid @ y <= 0.0
+    m = build_metric(CurvaturePair(s, y), alpha, skip_eps=-1.0)
+    assert m.skipped
+    assert np.array_equal(m.u, np.zeros(2))
 
 
 def test_metric_validation():
@@ -124,6 +153,33 @@ def test_splitting_of_skipped_metric():
     diag, rank1, sign = metric_as_splitting(m)
     assert np.array_equal(diag, np.full(3, 1.0))  # 1/(alpha tau) = 1
     assert np.array_equal(rank1, np.zeros(3))
+
+
+def test_near_orthogonal_pairs_build_or_raise_typed_errors():
+    # cos(s, y) in [1e-9, 1e-6]: build_metric keeps the rank-one term of
+    # some pairs whose splitting rounds to u'D^-1 u >= 1. Every pair must
+    # give a problem, NegativeCurvatureError or SecantError, never a bare
+    # ValueError, and the fuzz must reach the indefinite case
+    rng = make_rng(22)
+    rejected = 0
+    for _ in range(5000):
+        d = int(rng.integers(2, 51))
+        alpha = (0.1, 0.5, 0.9)[int(rng.integers(3))]
+        s = rng.standard_normal(d)
+        e = rng.standard_normal(d)
+        e -= (e @ s) / (s @ s) * s
+        cos = 10.0 ** rng.uniform(-9.0, -6.0)
+        y = (np.sqrt(1.0 - cos * cos) * e / np.linalg.norm(e)
+             + cos * s / np.linalg.norm(s))
+        s *= 10.0 ** rng.uniform(-3.0, 3.0)
+        y *= 10.0 ** rng.uniform(-3.0, 3.0)
+        try:
+            ScaledProxProblem(*metric_as_splitting(
+                build_metric(CurvaturePair(s, y), alpha)), 0.1,
+                rng.standard_normal(d))
+        except (NegativeCurvatureError, SecantError):
+            rejected += 1
+    assert rejected > 0
 
 
 # --------------------------------------------------------------- metric bounds

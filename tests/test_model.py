@@ -74,6 +74,18 @@ def test_objective_validation(sq_small):
         SmoothObjective.build(ds, LossKind.LOGISTIC_RIDGE, ridge=0.1)
 
 
+def test_objective_rejects_an_overflowing_lipschitz_sum():
+    # every L_i = a_i^2 + 0.1 is finite, but their sum is not: the row with
+    # the largest one is named
+    values = [1.3e154, 1.2e154, 1.1e154, 1.0e154, 0.9e154, 1.0]
+    ds = from_rows([(np.array([j]), np.array([v]))
+                    for j, v in zip([0] * 5 + [1], values)],
+                   np.ones(6), 2)
+    with pytest.raises(ValueError, match=r"^row 1: the component Lipschitz "
+                       r"constants sum to inf; this row's L_i = 1\.69e\+308"):
+        SmoothObjective.build(ds, LossKind.SQUARED_ERROR, ridge=0.1)
+
+
 @pytest.mark.parametrize("ridge", [float("nan"), float("inf")])
 def test_objective_rejects_nonfinite_ridge(sq_small, ridge):
     with pytest.raises(ValueError, match="ridge"):

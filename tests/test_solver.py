@@ -301,6 +301,35 @@ def test_sqn_divergence_caught_in_curvature():
         run(obj, reg, cfg)
 
 
+def test_sqn_indefinite_splitting_is_an_anomaly(monkeypatch):
+    # the third curvature pair is all but orthogonal to s: build_metric
+    # keeps its rank-one term, but u'D^-1 u rounds to 1, so the splitting
+    # is not positive definite. That rebuild counts as an anomaly and the
+    # run goes on with the last metric
+    import proxsqn.solver as solver_module
+    ds, _ = generate_synthetic(SyntheticSpec(
+        n=200, d=20, density=0.5, condition=4.0, noise=0.1, seed=3))
+    obj = SmoothObjective.build(ds, LossKind.SQUARED_ERROR, 0.1)
+    cfg = SolverConfig(kind=SolverKind.PROX_SQN, epochs=2, eta=0.05, m=100,
+                       b=5, b_hessian=20, metric_period=5, alpha=0.1)
+    real, calls = solver_module.hessian_vec, []
+
+    def near_orthogonal(obj, rows, x, s):
+        y = real(obj, rows, x, s)
+        calls.append(1)
+        if len(calls) != 3:
+            return y
+        e = np.cos(np.arange(s.size) + 1.0)
+        e -= (e @ s) / (s @ s) * s
+        e /= np.linalg.norm(e)
+        return np.linalg.norm(y) * (e + 1.5e-8 * s / np.linalg.norm(s))
+
+    monkeypatch.setattr(solver_module, "hessian_vec", near_orthogonal)
+    res = run(obj, Regularizer(RegKind.L1, 0.01), cfg)
+    assert res.anomalies == 1
+    assert res.metric_rebuilds == len(calls) - 1 > 3
+
+
 def test_sqn_nonfinite_scaled_step_is_a_divergence(monkeypatch):
     # a step that overflows between two anchors hands the scaled prox a
     # non-finite point after a metric exists; the prox must let the nan
