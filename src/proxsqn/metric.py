@@ -12,7 +12,9 @@ expands by Sherman-Morrison to the diagonal-minus-rank-one splitting
 
     H = (1/(alpha tau)) I - w w',   w = u / sqrt(alpha tau (alpha tau + u'u)),
 
-which is exactly the form the scaled proximal mapping consumes.
+which is exactly the form the scaled proximal mapping consumes. build_metric
+checks the pair (y != 0, tau > 0) and H^{-1} y = s; the splitting is checked
+once, by the ScaledProxProblem built from it.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .errors import NegativeCurvatureError, SecantError
 
 _SKIP_EPS_DEFAULT = 1e-8
 _SECANT_GUARD = 1e-8
+_NORMAL_MIN = float(np.finfo(np.float64).tiny)  # the least normal float
 
 
 @dataclass(eq=False)
@@ -76,23 +79,27 @@ def build_metric(pair: CurvaturePair, alpha: float,
     is skipped (u = 0).
     """
     s, y = pair.s, pair.y
-    ynorm2 = float(y @ y)
+    # v.dot(w) is v @ w, and math.sqrt(v.dot(v)) np.linalg.norm(v), bit for
+    # bit (tests/test_numpy_bits.py), at half the call overhead
+    ynorm2 = float(y.dot(y))
     if ynorm2 == 0.0:
         raise NegativeCurvatureError("curvature pair has y = 0")
-    sy = float(s @ y)
+    sy = float(s.dot(y))
     tau = sy / ynorm2
     if tau <= 0.0:
         raise NegativeCurvatureError(f"nonpositive curvature: tau = {tau:.6g}")
     resid = s - (alpha * tau) * y
-    denom = float(resid @ y)
-    rhs = skip_eps * math.sqrt(ynorm2) * float(np.linalg.norm(s - tau * y))
+    denom = float(resid.dot(y))
+    gap = s - tau * y
+    rhs = skip_eps * math.sqrt(ynorm2) * math.sqrt(float(gap.dot(gap)))
     if not denom > max(rhs, 0.0):
         return Metric(tau, alpha, np.zeros_like(s), skipped=True)
     u = resid / math.sqrt(denom)
     m = Metric(tau, alpha, u)
     # cheap construction-time secant check; the property suite tightens this
-    err = float(np.linalg.norm(apply_inverse(m, y) - s))
-    if err > _SECANT_GUARD * (1.0 + float(np.linalg.norm(s))):
+    miss = apply_inverse(m, y) - s
+    err = math.sqrt(float(miss.dot(miss)))
+    if err > _SECANT_GUARD * (1.0 + math.sqrt(float(s.dot(s)))):
         raise SecantError(f"secant violation at construction: {err:.3e}")
     return m
 
@@ -111,12 +118,18 @@ def metric_as_splitting(metric: Metric):
     Sherman-Morrison: H = (1/(alpha tau)) I - u u' / (alpha tau (alpha tau +
     u'u)), always positive definite since w'D^{-1}w = u'u/(alpha tau + u'u)
     < 1. A skipped metric (u = 0) gives rank1 = 0, a pure scaled identity.
+    Where alpha tau (alpha tau + u'u) is not a normal finite float, w takes
+    the product of the two square roots instead, which neither underflows
+    (w inf) nor overflows (w 0). Nothing is checked here: ScaledProxProblem
+    checks D > 0 finite, w finite and w'D^{-1}w < 1 once, as it is built.
     """
     at = metric.alpha * metric.tau
     diag = np.full(metric.d, 1.0 / at)
-    uu = float(metric.u @ metric.u)
-    w = metric.u / math.sqrt(at * (at + uu))
-    return diag, w, -1
+    uu = float(metric.u.dot(metric.u))
+    prod = at * (at + uu)
+    root = math.sqrt(prod) if _NORMAL_MIN <= prod < math.inf \
+        else math.sqrt(at) * math.sqrt(at + uu)
+    return diag, metric.u / root, -1
 
 
 @dataclass

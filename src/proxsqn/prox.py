@@ -100,10 +100,14 @@ class ScaledProxProblem:
     x and beta0, the Newton start, are the per-call inputs: the solver
     writes both, scaled_prox_info neither, and a non-finite beta0 starts
     from 0. What depends on the metric and eta alone is computed once,
-    ||u|| here and D^{-1} u, the Newton slope weights and the L1 thresholds
-    (per lambda1) on first use. Root solves write into the problem's scratch
-    rows, so one problem serves one solve at a time. A splitting that is not
-    positive definite in floating point raises NegativeCurvatureError.
+    ||u|| here and sign * D^{-1} u, the Newton slope weights and the L1
+    thresholds (per lambda1) on first use. Root solves write into the
+    problem's scratch rows, so one problem serves one solve at a time.
+
+    Construction checks each property of the splitting once, in order:
+    1-d matching shapes, D > 0 finite, u finite, sign +-1, eta > 0 finite
+    (each a ValueError), then u'D^{-1}u < 1 for sign = -1 (else
+    NegativeCurvatureError). The solver's rebuild relies on these checks.
     """
 
     diag: np.ndarray
@@ -114,39 +118,39 @@ class ScaledProxProblem:
     beta0: float = 0.0
 
     def __post_init__(self):
-        self.diag = np.asarray(self.diag, dtype=np.float64)
-        self.rank1 = np.asarray(self.rank1, dtype=np.float64)
+        self.diag = diag = np.asarray(self.diag, dtype=np.float64)
+        self.rank1 = u = np.asarray(self.rank1, dtype=np.float64)
         self.x = np.asarray(self.x, dtype=np.float64)
-        if self.diag.ndim != 1 or self.diag.shape != self.rank1.shape \
-                or self.diag.shape != self.x.shape:
+        if diag.ndim != 1 or diag.shape != u.shape \
+                or diag.shape != self.x.shape:
             raise ValueError("diag, rank1, x must be 1-d with matching shapes")
-        if not np.all((self.diag > 0.0) & (self.diag < math.inf)):
+        # the method forms: the np.all and np.sum wrappers cost twice as much
+        if not ((diag > 0.0) & (diag < math.inf)).all():
             raise ValueError("diag must be strictly positive and finite")
-        if not np.all(np.isfinite(self.rank1)):
+        if not np.isfinite(u).all():
             raise ValueError("rank1 must be finite")
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         if not 0.0 < self.eta < math.inf:
             raise ValueError("eta must be > 0 and finite")
         if self.sign == -1:
-            s = float(np.sum(self.rank1 ** 2 / self.diag))
+            s = float((u ** 2 / diag).sum())
             if s >= 1.0:
                 raise NegativeCurvatureError(
                     f"metric not positive definite: u'D^-1 u = {s:.6g} >= 1"
                 )
-        u = self.rank1
         self._unorm = math.sqrt(float(u.dot(u)))  # ||u||, as np.linalg.norm
         self._lambda1 = None  # _parts builds the rest on the first L1 solve
         self._work = np.empty((2, self.x.size))
 
     def _parts(self, lambda1):
-        """(w, t, -t): w = D^{-1} u and the L1 threshold of the diag(D)
-        metric t = (eta / D) * lambda1, in the order that makes D = c*I
-        bitwise-identical to prox(reg, x, eta / c)."""
+        """(w, t, -t): w = sign * D^{-1} u and the L1 threshold of the
+        diag(D) metric t = (eta / D) * lambda1, in the order that makes
+        D = c*I bitwise-identical to prox(reg, x, eta / c)."""
         if self._lambda1 is None:
-            self._w = self.rank1 / self.diag
+            self._w = (float(self.sign) * self.rank1) / self.diag
             with np.errstate(over="ignore"):  # inf: a Newton step to refuse
-                self._slope = (float(self.sign) * self._w) * self.rank1
+                self._slope = self._w * self.rank1
             self._abs_u = np.abs(self.rank1)
         if self._lambda1 != lambda1:
             self._lambda1 = lambda1
@@ -170,7 +174,7 @@ def _solve_root(reg, prob):
 
     Returns (y, beta, g(beta), evaluations), with y = y(beta) a fresh array.
     Each of the first _NEWTON_ITERS steps goes to the Newton point of the
-    current iterate (slope 1 + sum over y_j != 0 of sign u_j w_j) or, when
+    current iterate (slope 1 + sum over y_j != 0 of u_j w_j) or, when
     that leaves the bracket (lo, hi) given by the signs of g, to the
     bracket's secant point. When both leave the bracket, and for every
     later step, the step goes to the median of the breakpoints still inside
@@ -192,31 +196,19 @@ def _solve_root(reg, prob):
     w, t, neg_t = prob._parts(reg.lambda1)
     u, x, slope = prob.rank1, prob.x, prob._slope
     ux = float(u.dot(x))  # dot, not @: same ddot with less call overhead
-    sgn = float(prob.sign)
     z, active = prob._work
     y = np.empty_like(x)
     # |u|'|x| bounds the terms of u'x and, near the root, those of u'y
     floor = _ROUNDING * float(prob._abs_u.dot(np.abs(x, out=active)))
-    evals = 0
-
-    def g(beta):
-        """g(beta), with y(beta) written into y."""
-        nonlocal evals
-        evals += 1
-        np.subtract(x, np.multiply(w, sgn * beta, out=z), out=z)
-        _soft_threshold(z, neg_t, t, out=y)
-        return ux - float(u.dot(y)) + beta
-
-    def newton(beta, gb):
-        """The Newton point from beta, while y holds y(beta)."""
-        np.not_equal(y, 0.0, out=active)
-        return beta - gb / (1.0 + slope.dot(active))
-
     lo, hi, g_lo, g_hi = -math.inf, math.inf, -math.inf, math.inf
     beta = float(prob.beta0) if math.isfinite(prob.beta0) else 0.0
-    steps, cand, affine = _NEWTON_ITERS, None, False
+    steps, cand, affine, evals = _NEWTON_ITERS, None, False, 0
     while True:
-        gb = g(beta)
+        # g(beta), with y(beta) written into y
+        np.subtract(x, np.multiply(w, beta, out=z), out=z)
+        _soft_threshold(z, neg_t, t, out=y)
+        gb = ux - float(u.dot(y)) + beta
+        evals += 1
         if abs(gb) <= floor + _ROUNDING * abs(beta):
             break
         if gb < 0.0:
@@ -225,16 +217,16 @@ def _solve_root(reg, prob):
             hi, g_hi = beta, gb
         if steps:  # a Newton point that does not move fails the test too
             steps -= 1
-            step = newton(beta, gb)
+            np.not_equal(y, 0.0, out=active)
+            step = beta - gb / (1.0 + slope.dot(active))
             if not lo < step < hi:
                 step = lo - g_lo * (hi - lo) / (g_hi - g_lo)
             if lo < step < hi:
                 beta = step
                 continue
-        if cand is None:  # x_j - sgn*beta*w_j = +-t_j; w_j = 0 gives none
-            sw = sgn * w
+        if cand is None:  # x_j - beta*w_j = +-t_j; w_j = 0 gives none
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                cand = np.concatenate([(x - t) / sw, (x + t) / sw])
+                cand = np.concatenate([(x - t) / w, (x + t) / w])
         # take on the index: boolean indexing is slow on a scattered mask;
         # the comparisons drop the +-inf and nan breakpoints
         cand = cand.take(np.flatnonzero((cand > lo) & (cand < hi)))
@@ -245,13 +237,20 @@ def _solve_root(reg, prob):
             break
         # no breakpoint inside (lo, hi): g is affine on it and past an open
         # end. The secant's second point is at most 1 + |end| from the end
-        # nearer 0 (a tiny u_j can put the other at 1e306)
+        # nearer 0 (a tiny u_j can put the other at 1e306); g there is
+        # evaluated as at the loop's top, into y, which that overwrites
         if abs(lo) <= abs(hi):
-            a, g_a, b = lo, g_lo, min(hi, lo + (1.0 + abs(lo)))
-            g_b = g_hi if b == hi else g(b)
+            a, b = lo, min(hi, lo + (1.0 + abs(lo)))
         else:
-            a, b, g_b = max(lo, hi - (1.0 + abs(hi))), hi, g_hi
-            g_a = g_lo if a == lo else g(a)
+            a, b = max(lo, hi - (1.0 + abs(hi))), hi
+        g_a, g_b = g_lo, g_hi
+        if a != lo or b != hi:
+            p = b if b != hi else a
+            np.subtract(x, np.multiply(w, p, out=z), out=z)
+            _soft_threshold(z, neg_t, t, out=y)
+            g_p = ux - float(u.dot(y)) + p
+            evals += 1
+            g_a, g_b = (g_a, g_p) if p == b else (g_p, g_b)
         dg = g_b - g_a  # inf or nan where g overflowed or x is not finite
         beta = (a if dg == 0.0 else a - g_a * (b - a) / dg) \
             if math.isfinite(dg) else math.nan

@@ -124,22 +124,37 @@ def _floyd_rows(draws, n):
 
     Every draw before column j is in the row's set by then (as drawn, or it
     had repeated a member), so column j repeats a member when it repeats an
-    earlier draw, which one stable sort per row finds, or when it equals
-    n - b + i for an earlier column i that repeated, which is checked one
-    column at a time for all rows, in the columns that hold a draw >= n - b.
+    earlier draw, which one sort per row finds, or when it equals n - b + i
+    for an earlier column i that repeated: when a column on its chain does
+    (j, the column i its draw names, the column i's draw names, ...), all
+    walked a link per round. The sort keys draw * 2^ceil(log2 b) + j need
+    n * 2b < 2^63.
     """
     m, b = draws.shape
     lo = n - b
-    order = np.argsort(draws, axis=1, kind="stable")
-    ranked = np.take_along_axis(draws, order, axis=1)
-    hit = np.zeros((m, b), bool)
-    np.put_along_axis(hit, order[:, 1:], ranked[:, 1:] == ranked[:, :-1],
-                      axis=1)
-    for j in (np.flatnonzero((draws[:, 1:] >= lo).any(axis=0)) + 1).tolist():
-        i = draws[:, j] - lo
-        late = (i >= 0) & (i < j)
-        hit[late, j] |= hit[late, i[late]]
-    np.copyto(draws, np.arange(lo, n), where=hit)
+    # a stable argsort of each row, by the keys (a shift and a mask: divmod
+    # by b is slower); a draw equal to the one sorted before it repeats it,
+    # as the xor of their keys then has no bit above the column's
+    shift = (b - 1).bit_length()
+    keys = draws << shift
+    keys |= np.arange(b)
+    keys.sort(axis=1)
+    same = np.zeros((m, b), bool)
+    np.less(keys[:, 1:] ^ keys[:, :-1], 1 << shift, out=same[:, 1:])
+    i = np.flatnonzero(same)  # flat positions r * b + j, as are k and up
+    hit = np.zeros(m * b, bool)
+    hit[i - i % b + (keys.take(i) & ((1 << shift) - 1))] = True
+    # the links: each column k whose draw names an earlier column up
+    k = np.flatnonzero(draws >= lo)
+    up = k - k % b + draws.take(k) - lo
+    links, ups = k[up < k], up[up < k]
+    k, up = links, ups
+    while k.size:  # then the link of each up, while it has one
+        hit[k] |= hit[up]
+        at = np.searchsorted(links, up)
+        more = links[at] == up
+        k, up = k[more], ups[at[more]]
+    np.copyto(draws, np.arange(lo, n), where=hit.reshape(m, b))
     draws.sort(axis=1)
     return draws
 

@@ -244,15 +244,19 @@ class _Curvature:
         self.window[(g - 1) % Z] = x
         if g % Z:
             return
-        xhat = self.window.mean(axis=0)
+        # window.mean(axis=0) bit for bit, as mean does it: the sum over
+        # axis 0, divided by Z in place
+        xhat = np.add.reduce(self.window, axis=0)
+        xhat /= Z
         if self.xhat_prev is None:
             self.xhat_prev = xhat
             return
         sr, self.xhat_prev = xhat - self.xhat_prev, xhat
-        # the norms and the splitting are checked for finiteness right
-        # after they are made: a diverging run raises here
-        sr_norm = float(np.linalg.norm(sr))
-        xhat_norm = float(np.linalg.norm(xhat))
+        # the norms are checked for finiteness right after they are made,
+        # and the splitting as its problem is built: a diverging run raises
+        # here. math.sqrt of v.dot(v) is np.linalg.norm(v), bit for bit
+        sr_norm = math.sqrt(float(sr.dot(sr)))
+        xhat_norm = math.sqrt(float(xhat.dot(xhat)))
         # a non-finite xhat at the first anchor shows up in s_r
         if not math.isfinite(sr_norm + xhat_norm):
             raise DivergenceError(
@@ -264,18 +268,20 @@ class _Curvature:
         try:
             metric = build_metric(CurvaturePair(sr, yr), self.config.alpha,
                                   self.config.skip_eps)
-            diag, rank1, sign = metric_as_splitting(metric)
-            # a non-finite y_r, or products of s_r and y_r that overflow,
-            # leave 1/(alpha tau) or u inf/nan
-            if not (np.isfinite(diag).all() and diag.all()
-                    and np.isfinite(rank1).all()):
-                raise DivergenceError(
-                    f"curvature pair not finite at iteration {g}")
-            problem = ScaledProxProblem(diag, rank1, sign, self.config.eta,
-                                        self.point)
         except NegativeCurvatureError:
             self.anomalies += 1
             return
+        diag, rank1, sign = metric_as_splitting(metric)
+        try:
+            problem = ScaledProxProblem(diag, rank1, sign, self.config.eta,
+                                        self.point)
+        except NegativeCurvatureError:  # the splitting rounds to indefinite
+            self.anomalies += 1
+            return
+        except ValueError as exc:  # its check of D and w: a non-finite y_r,
+            # or s_r and y_r products that overflow, leave them inf or nan
+            raise DivergenceError(
+                f"curvature pair not finite at iteration {g}") from exc
         self.metric, self.problem = metric, problem
         self.rebuilds += 1
 

@@ -148,6 +148,30 @@ def test_splitting_inverts_the_inverse():
         assert float(np.sum(rank1 ** 2 / diag)) < 1.0
 
 
+# alpha*tau (alpha*tau + u'u) below the normal range (about 1e-341 here:
+# w was inf) and above the float range (about 1e319: w was 0)
+EXTREME_PAIRS = [(1e-100, (1e170, 2e170, 3e170)),
+                 (1.0, (1e-160, 2e-160, 3e-160))]
+
+
+@pytest.mark.parametrize("scale,curvature", EXTREME_PAIRS,
+                         ids=["underflow", "overflow"])
+def test_splitting_at_either_end_of_the_float_range(scale, curvature):
+    s = scale * make_rng(5).standard_normal(3)
+    y = np.array(curvature) * s
+    m = build_metric(CurvaturePair(s, y), 0.5)
+    at = m.alpha * m.tau
+    product = at * (at + float(m.u @ m.u))
+    assert not np.finfo(float).tiny <= product < np.inf
+    diag, rank1, sign = metric_as_splitting(m)
+    assert np.isfinite(rank1).all() and np.all(rank1 != 0.0)
+    # the splitting is the inverse of H^-1 = alpha tau I + u u': H s = y
+    hs = diag * s + sign * rank1 * float(rank1 @ s)
+    assert np.allclose(hs, y, rtol=1e-12, atol=0.0)
+    assert float(np.sum(rank1 ** 2 / diag)) < 1.0
+    ScaledProxProblem(diag, rank1, sign, 1.0, np.zeros(3))  # no error
+
+
 def test_splitting_of_skipped_metric():
     m = Metric(2.0, 0.5, np.zeros(3), skipped=True)
     diag, rank1, sign = metric_as_splitting(m)

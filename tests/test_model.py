@@ -51,6 +51,15 @@ def test_dataset_validation():
     with pytest.raises(ValueError, match="indptr"):
         Dataset(np.array([0, 3]), np.array([0]), np.array([1.0]),
                 np.zeros(1), 2)
+    with pytest.raises(ValueError, match="d must be >= 1"):
+        Dataset(np.array([0, 1]), np.array([0]), np.array([1.0]),
+                np.zeros(1), 0)
+    with pytest.raises(ValueError, match="nondecreasing"):
+        Dataset(np.array([0, 2, 1, 2]), np.array([0, 1]),
+                np.array([1.0, 2.0]), np.zeros(3), 2)
+    with pytest.raises(ValueError, match="length mismatch"):
+        Dataset(np.array([0, 1]), np.array([0]), np.array([1.0, 2.0]),
+                np.zeros(1), 2)
     # equal indices are fine across a row boundary
     ds = Dataset(np.array([0, 1, 2]), np.array([1, 1]), np.array([1.0, 2.0]),
                  np.zeros(2), 3)
@@ -235,6 +244,14 @@ def test_dense_hessian_limit():
     obj = SmoothObjective.build(ds, LossKind.SQUARED_ERROR, ridge=0.1)
     with pytest.raises(ValueError, match="d = 257 exceeds dense limit 256"):
         dense_batch_hessian(obj, np.array([0]), np.zeros(obj.d))
+
+
+def test_hessians_reject_an_empty_batch(log_small):
+    empty, x = np.zeros(0, dtype=np.int64), np.zeros(log_small.d)
+    with pytest.raises(ValueError, match="batch must be nonempty"):
+        hessian_vec(log_small, empty, x, np.ones(log_small.d))
+    with pytest.raises(ValueError, match="batch must be nonempty"):
+        dense_batch_hessian(log_small, empty, x)
 
 
 def test_smooth_value_squared_by_hand():

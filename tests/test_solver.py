@@ -617,6 +617,20 @@ def test_rate_plan_infeasible_regimes():
         rate_plan(IDENTITY_BOUNDS, 1.0, 0.0, 10, 0.1)
 
 
+def test_rate_plan_search_cap():
+    # m_min is about Gamma / (eta mu): 1e16 at eta = 1e-16, past 2^49, where
+    # the doubling search stops; 1e13 at eta = 1e-13 is found
+    rep = rate_plan(IDENTITY_BOUNDS, 1.0, 1.0, 10, 1e-16)
+    assert rep.eta_max > 1e-16 and rep.m_min is None and not rep.feasible
+    m_min = rate_plan(IDENTITY_BOUNDS, 1.0, 1.0, 10, 1e-13).m_min
+    assert 1e12 < m_min < 2 ** 49
+
+
+def test_run_rejects_an_unknown_kind(midsize, lasso_reg):
+    with pytest.raises(ValueError, match="unknown solver kind"):
+        run(midsize, lasso_reg, SolverConfig(kind="newton", epochs=1))
+
+
 # ---------------------------------------------------------------- references
 
 

@@ -2,6 +2,7 @@
 
     PYTHONPATH=src python tools/fingerprint.py > after.txt
     python tools/fingerprint.py --compare before.txt after.txt
+    python tools/fingerprint.py --base HEAD
 
 The first form runs every solver kind under every sampling scheme, for both
 losses and lambda1 in {0, 0.02}, on a small synthetic instance; then ProxSQN
@@ -41,6 +42,11 @@ for the scaled prox, the RootInfo repr.
 for each, the largest objective difference relative to max(1, |P|), or inf
 for a run without objectives; it exits 1 when the run names differ or a
 difference exceeds --tol.
+
+--base REV exports revision REV as tools/ab.py does (git archive into a
+temporary directory, removed afterwards), runs REV's own fingerprint tool on
+REV's src/ there and this one on the working tree's src/, and prints the
+--compare verdict of the two, with its exit status.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ import importlib
 import io
 import math
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -421,13 +428,34 @@ def compare(before_path, after_path, tol) -> int:
     return 1 if worst > tol else 0
 
 
+def against_base(rev, tol) -> int:
+    """The --compare verdict of revision rev against the working tree."""
+    from ab import ROOT, export
+    with tempfile.TemporaryDirectory(prefix="fingerprint-") as tmp:
+        base = os.path.join(tmp, "base")
+        export(rev, base)
+        outputs = [os.path.join(tmp, "before.txt"),
+                   os.path.join(tmp, "after.txt")]
+        for tree, path in zip((base, ROOT), outputs):
+            env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+            with open(path, "w") as out:
+                subprocess.run([sys.executable, os.path.join(
+                    tree, "tools", "fingerprint.py")], cwd=tree, env=env,
+                    stdout=out, check=True)
+        return compare(*outputs, tol)
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"))
+    p.add_argument("--base", metavar="REV",
+                   help="compare revision REV with the working tree")
     p.add_argument("--tol", type=float, default=1e-12)
     args = p.parse_args(argv)
     if args.compare:
         return compare(*args.compare, args.tol)
+    if args.base:
+        return against_base(args.base, args.tol)
     with np.errstate(all="ignore"):
         emit()
     return 0
