@@ -28,6 +28,8 @@ from .sampler import _floyd_block, _floyd_rows, check_seed, make_rng
 
 _TOKEN = re.compile(r"\S+")
 _BLOCK_LINES = 1000
+_ROW_BLOCK = 1024
+_LOW = np.uint64(0xFFFFFFFF)
 
 
 def parse_libsvm(text: str, d: int | None = None,
@@ -218,10 +220,14 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, np.ndarray]:
     The stream's words are fixed, so that a spec and seed give the same
     bytes in every version: the support's draws (one _floyd_block row) and
     its normals; then, per row, its k = round(density * d) bounded draws
-    followed by its k normals; then n noise normals. Only those two calls
-    per row run row by row. Floyd's rule, the sort (row i's t-th normal
-    scales its t-th smallest index) and the margins, each the dot product
-    a_i'x that a per-row loop would take, run once for all rows.
+    followed by its k normals; then n noise normals. Only the words and the
+    normals are taken row by row: _draw_rows computes the bounded draws
+    from raw words by numpy's Lemire method, a block of rows at once, and
+    falls back to the integers calls for a block in which one is rejected
+    (tests/test_dataio.py, test_draw_rows_is_the_call_loop, pins this
+    against numpy). Floyd's rule, the sort (row i's t-th normal scales its
+    t-th smallest index) and the margins, each the dot product a_i'x that
+    a per-row loop would take, run once for all rows.
     """
     rng = make_rng(spec.seed)
     d, n = spec.d, spec.n
@@ -236,9 +242,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, np.ndarray]:
     bounds = np.arange(d - k + 1, d + 1)
     idx = np.empty((n, k), np.int64)
     vals = np.empty((n, k))
-    for i in range(n):
-        idx[i] = rng.integers(0, bounds)
-        rng.standard_normal(out=vals[i])
+    _draw_rows(rng, bounds, idx, vals)
     _floyd_rows(idx, d)
     vals *= col_scale[idx]
     # a stack of (1, k) @ (k, 1) products: each is the 1-D dot product
@@ -250,3 +254,75 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, np.ndarray]:
         labels = margins
     return Dataset(np.arange(0, n * k + 1, k), idx.ravel(), vals.ravel(),
                    labels, d), x_true
+
+
+def _draw_rows(rng, bounds, idx, vals):
+    """For each row i in order, idx[i] = rng.integers(0, bounds) and then
+    rng.standard_normal(out=vals[i]): the same words and the same values,
+    and rng left in the state those calls leave.
+
+    numpy draws each bound b by Lemire's method on one 32-bit half u of a
+    Philox word, low half first: the value is (u * b) >> 32, unless the low
+    32 bits of u * b fall below (2^32 - b) % b and it takes the next half.
+    A bound of 1 takes no half. A half left over waits in the generator's
+    buffer, across the normals, for the next row. So each row takes the
+    whole words it needs with one random_raw call before its normals, and
+    a block of _ROW_BLOCK rows turns its halves into values at once. A
+    block in which numpy would take another half is drawn again by the
+    calls themselves, from its start state; so are bounds of 2^32 and up,
+    which take whole words.
+    """
+    bg = rng.bit_generator
+    raw, normal = bg.random_raw, rng.standard_normal
+    n = idx.shape[0]
+    if bounds.max() >= 2 ** 32:
+        _call_rows(rng, bounds, idx, vals, 0, n)
+        return
+    live = bounds > 1
+    idx[:, ~live] = 0
+    b = bounds[live].astype(np.uint64)
+    m = b.size
+    threshold = (np.uint64(2 ** 32) - b) % b
+    state = bg.state
+    # the buffer: whether a half waits in it, and the last half put there
+    has, last = state["has_uint32"], state["uinteger"]
+    for start in range(0, n, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, n)
+        rows = stop - start
+        # the words drawn by the end of each row: those its halves need
+        ends = ((np.arange(1, rows + 1) * m - has + 1) // 2).tolist()
+        state = bg.state
+        parts, pos = [], 0
+        for row, end in zip(vals[start:stop], ends):
+            parts.append(raw(end - pos))
+            pos = end
+            normal(out=row)
+        words = np.concatenate(parts)
+        halves = np.empty(has + 2 * words.size, np.uint64)
+        halves[:has] = last
+        halves[has::2] = words & _LOW
+        halves[has + 1::2] = words >> np.uint64(32)
+        prod = halves[:rows * m].reshape(rows, m) * b
+        if ((prod & _LOW) < threshold).any():
+            # numpy draws again here: so do the calls, from the block's
+            # start, with the buffer that the raw words left stale
+            state["has_uint32"], state["uinteger"] = has, last
+            bg.state = state
+            _call_rows(rng, bounds, idx, vals, start, stop)
+            state = bg.state
+            has, last = state["has_uint32"], state["uinteger"]
+        else:
+            idx[start:stop, live] = prod >> np.uint64(32)
+            has = halves.size - rows * m
+            if halves.size:
+                last = int(halves[-1])
+    state = bg.state
+    state["has_uint32"], state["uinteger"] = has, last
+    bg.state = state
+
+
+def _call_rows(rng, bounds, idx, vals, start, stop):
+    """Rows start to stop of _draw_rows, one integers call per row."""
+    for i in range(start, stop):
+        idx[i] = rng.integers(0, bounds)
+        rng.standard_normal(out=vals[i])

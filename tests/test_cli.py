@@ -17,6 +17,7 @@ from proxsqn import (
     write_libsvm,
 )
 from proxsqn.cli import CSV_HEADER, main
+from proxsqn.verify import CheckResult
 
 CONFIG = (
     "loss = squared_error\n"
@@ -557,6 +558,20 @@ def test_verify_fast(runner):
     assert res.exit_code == 0, res.output
     assert "all checks passed" in res.output
     assert sum(line.startswith("PASS") for line in res.output.splitlines()) == 8
+
+
+def test_verify_failure_exits_4(runner, monkeypatch):
+    passed = CheckResult("secant_identity", True, 1e-10, "fine")
+    failed = CheckResult("prox_identities", False, 0.0, "failed: broken")
+    monkeypatch.setattr("proxsqn.cli.run_checks",
+                        lambda level: [passed, failed])
+    res = runner.invoke(main, ["verify"])
+    assert exited_cleanly(res, 4)
+    lines = res.output.splitlines()
+    assert lines[0].startswith("PASS secant_identity")
+    assert lines[1].startswith("FAIL prox_identities")
+    assert lines[1].endswith("failed: broken")
+    assert "all checks passed" not in res.output
 
 
 def test_verify_rejects_bad_level(runner):

@@ -12,6 +12,7 @@ from proxsqn import (
     LossKind,
     SyntheticSpec,
     generate_synthetic,
+    make_rng,
     parse_libsvm,
     write_libsvm,
 )
@@ -283,6 +284,87 @@ def test_generate_matches_row_loop_oracle(kw, loss, seed):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), \
             name
     assert x_true.tobytes() == ref_x.tobytes()
+
+
+def spy_redraws(monkeypatch):
+    """(first row, half waiting in the buffer) of each block that
+    dataio._draw_rows hands to the per-row calls, as they start."""
+    redraws = []
+    call_rows = dataio._call_rows
+
+    def spy(rng, bounds, idx, vals, start, stop):
+        redraws.append((start, rng.bit_generator.state["has_uint32"]))
+        call_rows(rng, bounds, idx, vals, start, stop)
+
+    monkeypatch.setattr(dataio, "_call_rows", spy)
+    return redraws
+
+
+def test_generate_matches_oracle_through_rejection_blocks(monkeypatch):
+    # d = 1e6, k = 10: about one draw in 1e4 is rejected, so blocks of
+    # 10240 draws often are; the second and third of these three are
+    redraws = spy_redraws(monkeypatch)
+    spec = SyntheticSpec(n=3000, d=1_000_000, density=1e-5, condition=16.0,
+                         noise=0.2, seed=4)
+    ds, x_true = generate_synthetic(spec)
+    assert [start for start, _ in redraws] == [1024, 2048]
+    ref, ref_x = oracle_generate(spec)
+    for name in ("indptr", "indices", "values", "labels"):
+        assert getattr(ds, name).tobytes() == getattr(ref, name).tobytes()
+    assert x_true.tobytes() == ref_x.tobytes()
+
+
+def call_loop(rng, bounds, n):
+    """The per-row calls that dataio._draw_rows stands for."""
+    idx = np.empty((n, bounds.size), np.int64)
+    vals = np.empty((n, bounds.size))
+    for i in range(n):
+        idx[i] = rng.integers(0, bounds)
+        rng.standard_normal(out=vals[i])
+    return idx, vals
+
+
+# (bounds, rows, seed, whether one draw precedes, the blocks redrawn by
+# the calls with the half then waiting in the buffer). Rejections: about
+# half the draws of 2^31 + 1 and 2^31 + 3, 4 in 2^32 of 7, about 1 in 4300
+# of 1_000_003 and 1_000_033; a bound of 1 takes no word, and a bound of
+# 2^32 or more a whole one. The draw before leaves a half in the buffer; an
+# odd count of bounds past 1 passes it from row to row, here into a block
+# redrawn after a fast one and out of an odd last block.
+@pytest.mark.parametrize("bounds,n,seed,before,redrawn", [
+    ([2 ** 31 + 1, 2 ** 31 + 3, 7], 3000, 0, False,
+     [(0, 0), (1024, 1), (2048, 0)]),
+    ([1_000_003, 1_000_033], 5000, 4, True, [(3072, 1)]),
+    ([1, 5, 9], 3000, 0, True, []),
+    ([1], 50, 1, True, []),
+    ([1_000_003, 1_000_033, 17], 5000, 4, True,
+     [(1024, 1), (2048, 0), (4096, 0)]),
+    ([1, 1_000_003, 1_000_033, 17], 2501, 5, False, [(0, 0), (1024, 0)]),
+    ([2 ** 32 + 5, 3], 20, 2, True, [(0, 1)]),
+])
+def test_draw_rows_is_the_call_loop(monkeypatch, bounds, n, seed, before,
+                                    redrawn):
+    # pins numpy's bounded draws: should Generator.integers take its words
+    # differently, this fails, and no generated instance moves silently
+    bounds = np.array(bounds)
+    rngs = make_rng(seed), make_rng(seed)
+    if before:
+        for rng in rngs:
+            rng.integers(0, bounds[-1:])
+    redraws = spy_redraws(monkeypatch)
+    idx = np.empty((n, bounds.size), np.int64)
+    vals = np.empty((n, bounds.size))
+    dataio._draw_rows(rngs[0], bounds, idx, vals)
+    assert redraws == redrawn
+    want_idx, want_vals = call_loop(rngs[1], bounds, n)
+    assert idx.tobytes() == want_idx.tobytes()
+    assert vals.tobytes() == want_vals.tobytes()
+    # the generator is where the calls leave it: its buffer too
+    got, want = (rng.bit_generator.state for rng in rngs)
+    assert repr(got) == repr(want)
+    nxt = [(rng.integers(0, bounds).tobytes(),
+            rng.standard_normal(3).tobytes()) for rng in rngs]
+    assert nxt[0] == nxt[1]
 
 
 def test_generate_density_controls_row_nnz():

@@ -1,5 +1,6 @@
 """Smoke tests of tools/fingerprint.py: a full run, then --compare of its
-output with itself; and --base HEAD."""
+output with itself; --compare of outputs whose run names differ; and
+--base HEAD."""
 
 import os
 import re
@@ -50,3 +51,16 @@ def test_base_head_is_identical_while_src_is_unchanged():
     if clean:
         assert proc.returncode == 0, proc.stdout
         assert verdict[1] == verdict[2] and verdict[3] == "0", proc.stdout
+
+
+def test_compare_counts_the_shared_runs_when_names_differ(tmp_path):
+    # a tool with more runs than the one it is compared with: the verdict
+    # covers the runs of both, and the extra names still fail the compare
+    before, after = tmp_path / "before.txt", tmp_path / "after.txt"
+    before.write_text("a\t00\t1.0\nb\t11\t-\n")
+    after.write_text("a\t00\t1.0\nb\t11\t-\nc\t22\t-\n")
+    proc = run_tool("--compare", str(before), str(after))
+    assert proc.returncode == 1, proc.stdout
+    assert "run names differ: ['c']" in proc.stdout
+    assert re.search(r"^2 of 2 runs identical; 0 changed", proc.stdout,
+                     re.M), proc.stdout

@@ -1,10 +1,14 @@
 import dataclasses
+import itertools
 
+import numpy as np
 import pytest
 
 from floyd_oracle import floyd_sample
-from proxsqn import build_metric, make_rng
-from proxsqn.verify import _subset_counts, check_floyd_frequencies, run_checks
+from proxsqn import build_metric, make_rng, verify
+from proxsqn.prox import RegKind
+from proxsqn.verify import _subset_counts, check_floyd_frequencies, \
+    check_prox_identities, check_secant, run_checks
 
 FAST_NAMES = [
     "secant_identity",
@@ -71,3 +75,38 @@ def test_fault_injection_trips_secant_check():
     for name, r in by_name.items():
         if name != "secant_identity":
             assert r.passed, f"{name} should survive the fault: {r.detail}"
+
+
+def test_secant_check_counts_skipped_metrics():
+    # every other metric skips its rank-one term and is left out
+    turn = itertools.count()
+
+    def skipping(pair, alpha, eps=1e-8):
+        return build_metric(pair, alpha, np.inf if next(turn) % 2 else eps)
+
+    result = check_secant(skipping, pairs=30)
+    assert result.passed
+    assert result.detail.endswith("over 15 metrics (15 skipped)")
+
+
+# each closed form broken alone, then all three: (prox fault, scaled_prox
+# fault, the failure detail)
+@pytest.mark.parametrize("bad_prox,bad_scaled,detail", [
+    (lambda reg, eta: eta == 1.0, False, "soft-threshold closed form"),
+    (lambda reg, eta: reg.kind is RegKind.ZERO, False,
+     "zero regularizer identity"),
+    (lambda reg, eta: False, True, "scaled-identity reduction"),
+    (lambda reg, eta: eta == 1.0 or reg.kind is RegKind.ZERO, True,
+     "soft-threshold closed form, zero regularizer identity, "
+     "scaled-identity reduction"),
+])
+def test_prox_identities_name_each_broken_form(monkeypatch, bad_prox,
+                                               bad_scaled, detail):
+    prox, scaled_prox = verify.prox, verify.scaled_prox
+    monkeypatch.setattr(verify, "prox", lambda reg, x, eta: prox(
+        reg, x, eta) + bad_prox(reg, eta))
+    monkeypatch.setattr(verify, "scaled_prox", lambda reg, prob: scaled_prox(
+        reg, prob) + bad_scaled)
+    result = check_prox_identities()
+    assert not result.passed
+    assert result.detail == "failed: " + detail

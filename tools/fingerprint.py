@@ -24,7 +24,9 @@ a diagonal metric (u = 0) and a diagonal-plus-rank-one metric of each sign,
 on the whole corpus and on its finite part; where the scaled prox solves
 for a root (lambda1 > 0, u != 0), also with the Newton steps turned off
 (_NEWTON_ITERS = 0, the median safeguard alone) and from the starts
-beta0 = +-1e6. It prints one line per run:
+beta0 = +-1e6; then generate_synthetic on the benchmark's three specs
+and on one (d = 1e6, k = 10) whose row draws reject words. It prints one
+line per run:
 its name, a SHA-256 hash and its per-epoch objectives ("-" when it has
 none). A solver run's hash covers every TraceRecord field except
 elapsed_ns, the final x bytes and the RunResult counters; a reference
@@ -36,12 +38,14 @@ hash covers its name, pass flag, margin repr and detail; an enumeration's
 covers the mean's bytes and the repr of the mean squared deviation; a
 parse's covers d and the bytes of indptr, indices, values and labels, or
 the exception's type and message; a prox run's covers the bytes of y and,
-for the scaled prox, the RootInfo repr.
+for the scaled prox, the RootInfo repr; a generate run's covers d and the
+bytes of indptr, indices, values, labels and the planted point.
 
---compare reads two such outputs. It names the runs whose hashes differ and,
-for each, the largest objective difference relative to max(1, |P|), or inf
-for a run without objectives; it exits 1 when the run names differ or a
-difference exceeds --tol.
+--compare reads two such outputs. It names the runs that only one of them
+has, then the runs of both whose hashes differ and, for each, the largest
+objective difference relative to max(1, |P|), or inf for a run without
+objectives; its verdict counts the runs of both. It exits 1 when the run
+names differ or a difference exceeds --tol.
 
 --base REV exports revision REV as tools/ab.py does (git archive into a
 temporary directory, removed afterwards), runs REV's own fingerprint tool on
@@ -382,6 +386,32 @@ def prox_runs(proxsqn):
                            _scaled_prox_hash(proxsqn, reg, prob, iters), [])
 
 
+# the benchmark's three specs, written out here, and d = 1e6 with k = 10,
+# where some blocks of the row draws reject a word and are drawn again
+GENERATE_SPECS = {
+    "flagship": dict(n=1000, d=50, density=0.24, condition=16.0, noise=0.2,
+                     seed=42, loss="logistic_ridge"),
+    "sparse_wide": dict(n=100000, d=20000, density=5e-4, condition=16.0,
+                        noise=0.2, seed=2016, loss="squared_error"),
+    "cli_ridge": dict(n=20000, d=500, density=0.04, condition=16.0,
+                      noise=0.2, seed=7, loss="logistic_ridge"),
+    "rejections": dict(n=3000, d=1_000_000, density=1e-5, condition=16.0,
+                       noise=0.2, seed=4, loss="squared_error"),
+}
+
+
+def generate_runs(proxsqn):
+    """(name, hash, []) for generate_synthetic on each GENERATE_SPECS."""
+    for name, kw in GENERATE_SPECS.items():
+        spec = proxsqn.SyntheticSpec(**dict(kw,
+                                            loss=proxsqn.LossKind(kw["loss"])))
+        ds, x_true = proxsqn.generate_synthetic(spec)
+        h = hashlib.sha256(repr(ds.d).encode())
+        for a in (ds.indptr, ds.indices, ds.values, ds.labels, x_true):
+            h.update(a.tobytes())
+        yield f"generate/{name}", h.hexdigest(), []
+
+
 def emit():
     import proxsqn
     for name, digest, objs in (*solver_runs(proxsqn),
@@ -389,7 +419,8 @@ def emit():
                                *smoothness_runs(proxsqn), *cli_runs(proxsqn),
                                *check_runs(proxsqn),
                                *enumeration_runs(proxsqn),
-                               *parse_runs(proxsqn), *prox_runs(proxsqn)):
+                               *parse_runs(proxsqn), *prox_runs(proxsqn),
+                               *generate_runs(proxsqn)):
         print(name, digest, ",".join(repr(p) for p in objs) or "-",
               sep="\t", flush=True)
 
@@ -406,10 +437,10 @@ def _read(path):
 
 def compare(before_path, after_path, tol) -> int:
     before, after = _read(before_path), _read(after_path)
-    if before.keys() != after.keys():
-        print("run names differ:",
-              sorted(before.keys() ^ after.keys()))
-        return 1
+    unpaired = sorted(before.keys() ^ after.keys())
+    if unpaired:
+        print("run names differ:", unpaired)
+    before = {name: run for name, run in before.items() if name in after}
     worst, changed = 0.0, []
     for name, (digest, objs) in before.items():
         digest2, objs2 = after[name]
@@ -425,7 +456,7 @@ def compare(before_path, after_path, tol) -> int:
         print(f"changed\t{name}\tmax rel objective diff {rel:.3g}")
     print(f"{len(before) - len(changed)} of {len(before)} runs identical; "
           f"{len(changed)} changed, worst rel objective diff {worst:.3g}")
-    return 1 if worst > tol else 0
+    return 1 if unpaired or worst > tol else 0
 
 
 def against_base(rev, tol) -> int:
