@@ -13,7 +13,7 @@ Recognized keys:
   loss = squared_error | logistic_ridge
   ridge = <float >= 0>
   lambda1 = <float >= 0>
-  ref_tol = <float > 0>            reference-solution tolerance (default 1e-12)
+  ref_tol = <float > 0>            reference-solution tolerance (optional)
   output = <path>                  optional output directory
   dataset = <path>                 LIBSVM file (exclusive with synthetic.*)
   synthetic.n / .d = <int>
@@ -25,6 +25,8 @@ Recognized keys:
 
 Solver fields: kind, epochs, eta, m, b, b_hessian, metric_period, alpha,
 skip_eps, scheme, seed; a seed, here or in synthetic.seed, is in [0, 2^64).
+An omitted key takes its default from ExperimentConfig, SyntheticSpec or
+SolverConfig; `_EXPERIMENT_SCALARS` fixes the order of the canonical text.
 """
 
 from __future__ import annotations
@@ -125,37 +127,30 @@ def parse_config(text: str, require_solvers: bool = True) -> ExperimentConfig:
     synthetic_kv: dict[str, object] = {}
     solver_names: list[str] = []
     solver_kv: dict[str, dict[str, object]] = {}
-    solvers_lineno = None
     for key, (raw, lineno) in pairs.items():
-        if key in _EXPERIMENT_SCALARS:
-            scalars[key] = _parse_scalar(_EXPERIMENT_SCALARS[key], raw, key,
-                                         lineno)
-        elif key == "solvers":
+        if key == "solvers":
             solver_names = [p.strip() for p in raw.split(",") if p.strip()]
-            solvers_lineno = lineno
             if not solver_names:
                 raise ConfigError(f"line {lineno}: empty solver list")
             if len(set(solver_names)) != len(solver_names):
                 raise ConfigError(f"line {lineno}: duplicate solver names")
-        elif key.startswith("synthetic."):
-            sub = key[len("synthetic."):]
-            if sub not in _SYNTHETIC_FIELDS:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-            synthetic_kv[sub] = _parse_scalar(_SYNTHETIC_FIELDS[sub], raw,
-                                              key, lineno)
+            continue
+        table, values, fld = _EXPERIMENT_SCALARS, scalars, key
+        unknown = f"unknown key {key!r}"
+        if key.startswith("synthetic."):
+            table, values = _SYNTHETIC_FIELDS, synthetic_kv
+            fld = key[len("synthetic."):]
         elif key.startswith("solver."):
             parts = key.split(".")
             if len(parts) != 3 or not parts[1] or not parts[2]:
                 raise ConfigError(f"line {lineno}: solver keys look like "
                                   f"solver.<name>.<field>, got {key!r}")
-            name, fld = parts[1], parts[2]
-            if fld not in _SOLVER_FIELDS:
-                raise ConfigError(f"line {lineno}: unknown solver field "
-                                  f"{fld!r} in {key!r}")
-            solver_kv.setdefault(name, {})[fld] = \
-                _parse_scalar(_SOLVER_FIELDS[fld], raw, key, lineno)
-        else:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            fld = parts[2]
+            table, values = _SOLVER_FIELDS, solver_kv.setdefault(parts[1], {})
+            unknown = f"unknown solver field {fld!r} in {key!r}"
+        if fld not in table:
+            raise ConfigError(f"line {lineno}: {unknown}")
+        values[fld] = _parse_scalar(table[fld], raw, key, lineno)
 
     for name in solver_kv:
         if name not in solver_names:
@@ -163,25 +158,23 @@ def parse_config(text: str, require_solvers: bool = True) -> ExperimentConfig:
                               f"not listed in `solvers`")
     if require_solvers and not solver_names:
         raise ConfigError("config must list at least one solver")
-
     for required in ("loss", "ridge", "lambda1"):
         if required not in scalars:
             raise ConfigError(f"missing required key {required!r}")
 
-    loss: LossKind = scalars["loss"]  # type: ignore[assignment]
     synthetic = None
     if synthetic_kv:
         for required in ("n", "d"):
             if required not in synthetic_kv:
                 raise ConfigError(f"missing required key synthetic.{required}")
         try:
-            synthetic = SyntheticSpec(loss=loss, **synthetic_kv)
+            synthetic = SyntheticSpec(loss=scalars["loss"], **synthetic_kv)
         except ValueError as exc:
             raise ConfigError(f"invalid synthetic spec: {exc}") from None
 
     solvers = []
     for name in solver_names:
-        kv = dict(solver_kv.get(name, {}))
+        kv = solver_kv.setdefault(name, {})
         if "kind" not in kv:
             try:
                 kv["kind"] = SolverKind(name)
@@ -193,12 +186,7 @@ def parse_config(text: str, require_solvers: bool = True) -> ExperimentConfig:
             solvers.append((name, SolverConfig(**kv)))
         except ValueError as exc:
             raise ConfigError(f"solver {name!r}: {exc}") from None
-
-    return ExperimentConfig(
-        loss=loss, ridge=scalars["ridge"], lambda1=scalars["lambda1"],
-        solvers=solvers, dataset=scalars.get("dataset"),
-        synthetic=synthetic, output=scalars.get("output"),
-        ref_tol=scalars.get("ref_tol", 1e-12))
+    return ExperimentConfig(solvers=solvers, synthetic=synthetic, **scalars)
 
 
 def _format_scalar(value) -> str:
@@ -211,25 +199,14 @@ def _format_scalar(value) -> str:
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical text form; parse_config(serialize_config(c)) == c."""
-    lines = [
-        f"loss = {cfg.loss.value}",
-        f"ridge = {repr(cfg.ridge)}",
-        f"lambda1 = {repr(cfg.lambda1)}",
-        f"ref_tol = {repr(cfg.ref_tol)}",
-    ]
-    if cfg.output is not None:
-        lines.append(f"output = {cfg.output}")
-    if cfg.dataset is not None:
-        lines.append(f"dataset = {cfg.dataset}")
-    else:
-        assert cfg.synthetic is not None
-        for fld in _SYNTHETIC_FIELDS:
-            lines.append(f"synthetic.{fld} = "
-                         f"{_format_scalar(getattr(cfg.synthetic, fld))}")
+    lines = [f"{key} = {_format_scalar(getattr(cfg, key))}"
+             for key in _EXPERIMENT_SCALARS if getattr(cfg, key) is not None]
+    if cfg.synthetic is not None:
+        lines += [f"synthetic.{fld} = "
+                  f"{_format_scalar(getattr(cfg.synthetic, fld))}"
+                  for fld in _SYNTHETIC_FIELDS]
     if cfg.solvers:
         lines.append("solvers = " + ", ".join(name for name, _ in cfg.solvers))
-        for name, sc in cfg.solvers:
-            for fld in _SOLVER_FIELDS:
-                lines.append(f"solver.{name}.{fld} = "
-                             f"{_format_scalar(getattr(sc, fld))}")
+    lines += [f"solver.{name}.{fld} = {_format_scalar(getattr(sc, fld))}"
+              for name, sc in cfg.solvers for fld in _SOLVER_FIELDS]
     return "\n".join(lines) + "\n"

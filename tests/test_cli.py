@@ -1,5 +1,6 @@
 import os
 import re
+import runpy
 import subprocess
 import sys
 import time
@@ -551,6 +552,17 @@ def test_threads_match_serial(runner, tmp_path):
     for name in ("exp_sqn.csv", "exp_prox_gd.csv"):
         assert strip_elapsed(read_lines(serial / name)) == \
             strip_elapsed(read_lines(threaded / name))
+
+
+# runpy warns that it runs a module the test has already imported
+@pytest.mark.filterwarnings("ignore:.*found in sys.modules:RuntimeWarning")
+def test_module_entry_point_help(monkeypatch, capsys):
+    # `python -m proxsqn.cli`, run in this process
+    monkeypatch.setattr(sys, "argv", ["proxsqn", "--help"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("proxsqn.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert "Composite-objective solver toolkit" in capsys.readouterr().out
 
 
 def test_verify_fast(runner):

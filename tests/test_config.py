@@ -1,4 +1,5 @@
 import math
+import pathlib
 
 import pytest
 
@@ -31,6 +32,59 @@ def test_roundtrip_two_solvers():
                                 loss=LossKind.LOGISTIC_RIDGE),
         output="traces", ref_tol=1e-10)
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_serialize_writes_the_canonical_text():
+    # test_roundtrip_two_solvers's config: key order and float spelling
+    cfg = ExperimentConfig(
+        loss=LossKind.LOGISTIC_RIDGE, ridge=0.1, lambda1=0.01,
+        solvers=[
+            ("sqn", SolverConfig(kind=SolverKind.PROX_SQN, epochs=7,
+                                 eta=0.02743715200664057, m=2000, b=10,
+                                 b_hessian=50, metric_period=10, alpha=0.5,
+                                 scheme=SchemeKind.WEIGHTED_BATCH, seed=3)),
+            ("prox_gd", SolverConfig(kind=SolverKind.PROX_GD, epochs=40,
+                                     eta=0.1)),
+        ],
+        synthetic=SyntheticSpec(n=100, d=12, density=0.3, condition=16.0,
+                                noise=0.2, seed=42,
+                                loss=LossKind.LOGISTIC_RIDGE),
+        output="traces", ref_tol=1e-10)
+    assert serialize_config(cfg) == (
+        "loss = logistic_ridge\n"
+        "ridge = 0.1\n"
+        "lambda1 = 0.01\n"
+        "ref_tol = 1e-10\n"
+        "output = traces\n"
+        "synthetic.n = 100\n"
+        "synthetic.d = 12\n"
+        "synthetic.density = 0.3\n"
+        "synthetic.condition = 16.0\n"
+        "synthetic.noise = 0.2\n"
+        "synthetic.seed = 42\n"
+        "solvers = sqn, prox_gd\n"
+        "solver.sqn.kind = prox_sqn\n"
+        "solver.sqn.epochs = 7\n"
+        "solver.sqn.eta = 0.02743715200664057\n"
+        "solver.sqn.m = 2000\n"
+        "solver.sqn.b = 10\n"
+        "solver.sqn.b_hessian = 50\n"
+        "solver.sqn.metric_period = 10\n"
+        "solver.sqn.alpha = 0.5\n"
+        "solver.sqn.skip_eps = 1e-08\n"
+        "solver.sqn.scheme = weighted_batch\n"
+        "solver.sqn.seed = 3\n"
+        "solver.prox_gd.kind = prox_gd\n"
+        "solver.prox_gd.epochs = 40\n"
+        "solver.prox_gd.eta = 0.1\n"
+        "solver.prox_gd.m = 1000\n"
+        "solver.prox_gd.b = 10\n"
+        "solver.prox_gd.b_hessian = 50\n"
+        "solver.prox_gd.metric_period = 10\n"
+        "solver.prox_gd.alpha = 0.5\n"
+        "solver.prox_gd.skip_eps = 1e-08\n"
+        "solver.prox_gd.scheme = uniform_batch\n"
+        "solver.prox_gd.seed = 0\n")
 
 
 def test_roundtrip_dataset_config():
@@ -188,3 +242,17 @@ def test_float_fields_roundtrip_bitwise():
     assert back.solvers[0][1].eta == eta
     assert back.ridge == 1e-300
     assert back.lambda1 == cfg.lambda1
+
+
+def test_readme_config_example_parses():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Config format", 1)[1]
+    example = section.split("```\n", 2)[1]
+    cfg = parse_config(example)
+    assert [name for name, _ in cfg.solvers] == ["sqn", "baseline"]
+    assert [sc.kind for _, sc in cfg.solvers] == [SolverKind.PROX_SQN,
+                                                  SolverKind.PROX_GD]
+    assert cfg.synthetic == SyntheticSpec(
+        n=1000, d=50, density=0.24, condition=16.0, noise=0.2, seed=42,
+        loss=LossKind.LOGISTIC_RIDGE)
+    assert cfg.dataset is None

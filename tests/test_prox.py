@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from proxsqn import (
+    ConvergenceError,
     RegKind,
     Regularizer,
     ScaledProxProblem,
@@ -308,6 +309,13 @@ def test_scaled_prox_matches_oracle_both_signs(lasso_reg):
         oracle = subproblem_oracle(reg, prob)
         assert np.linalg.norm(y - oracle) <= 1e-8
         assert kkt_residual(reg, prob, y) <= 1e-8
+
+
+def test_subproblem_oracle_raises_when_capped():
+    # one proximal-gradient step moves y off x, so it cannot stop there
+    reg, prob = random_problem(make_rng(26), 6, 1)
+    with pytest.raises(ConvergenceError, match="in 1 iterations"):
+        subproblem_oracle(reg, prob, max_iter=1)
 
 
 def test_root_and_both_oracles_agree():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -404,6 +405,18 @@ def test_estimator_unbiased_all_schemes(sq_small, kind, b):
         g = full_gradient(sq_small, x)
         assert np.max(np.abs(stats.mean - g)) <= 1e-12
         assert stats.mean_sq_deviation >= 0.0
+
+
+def test_enumeration_checks_its_probabilities(sq_small, monkeypatch):
+    # a support that drops one subset carries probability 1 - 1/C(n, b)
+    import proxsqn.sampler as S
+    monkeypatch.setattr(S, "itertools", types.SimpleNamespace(
+        combinations=lambda pool, b: list(itertools.combinations(pool, b))[1:]))
+    snap = make_snapshot(sq_small, np.zeros(sq_small.d))
+    with pytest.raises(AssertionError, match="probabilities sum to"):
+        enumerate_estimator_stats(
+            sq_small, snap, SamplingScheme(SchemeKind.UNIFORM_BATCH, 2),
+            np.zeros(sq_small.d))
 
 
 def test_enumeration_guard():

@@ -25,8 +25,12 @@ on the whole corpus and on its finite part; where the scaled prox solves
 for a root (lambda1 > 0, u != 0), also with the Newton steps turned off
 (_NEWTON_ITERS = 0, the median safeguard alone) and from the starts
 beta0 = +-1e6; then generate_synthetic on the benchmark's three specs
-and on one (d = 1e6, k = 10) whose row draws reject words. It prints one
-line per run:
+and on one (d = 1e6, k = 10) whose row draws reject words; then
+parse_config on a fixed corpus (the config/* runs): a text for each error
+of the grammar, a non-finite float in each section, three texts with two
+errors each (which error wins), the README's example, CLI_CONFIG per loss
+and lambda1, and one text without solvers parsed with
+require_solvers=False. It prints one line per run:
 its name, a SHA-256 hash and its per-epoch objectives ("-" when it has
 none). A solver run's hash covers every TraceRecord field except
 elapsed_ns, the final x bytes and the RunResult counters; a reference
@@ -39,7 +43,9 @@ covers the mean's bytes and the repr of the mean squared deviation; a
 parse's covers d and the bytes of indptr, indices, values and labels, or
 the exception's type and message; a prox run's covers the bytes of y and,
 for the scaled prox, the RootInfo repr; a generate run's covers d and the
-bytes of indptr, indices, values, labels and the planted point.
+bytes of indptr, indices, values, labels and the planted point; a config
+run's covers the parsed config's repr and the text serialize_config writes
+from it.
 
 --compare reads two such outputs. It names the runs that only one of them
 has, then the runs of both whose hashes differ and, for each, the largest
@@ -242,6 +248,122 @@ def cli_runs(proxsqn):
                            h.hexdigest(), objs)
 
 
+_CONFIG_BASE = ("loss = squared_error\nridge = 0.1\nlambda1 = 0.0\n"
+                "dataset = d\nsolvers = prox_gd\n")
+_CONFIG_SYNTHETIC = ("loss = squared_error\nridge = 0.1\nlambda1 = 0.0\n"
+                     "synthetic.n = 5\nsynthetic.d = 5\nsolvers = prox_gd\n")
+README_CONFIG = """# squared_error | logistic_ridge
+loss = logistic_ridge
+ridge = 0.1
+# 0 disables the L1 term
+lambda1 = 0.01
+# optional, reference-solution tolerance
+ref_tol = 1e-12
+# optional output directory
+output = traces
+
+# exactly one of: a dataset path, or a synthetic recipe
+synthetic.n = 1000
+synthetic.d = 50
+synthetic.density = 0.24
+synthetic.condition = 16.0
+synthetic.noise = 0.2
+synthetic.seed = 42
+
+solvers = sqn, baseline
+# kind defaults to the name when it is one
+solver.sqn.kind = prox_sqn
+solver.sqn.epochs = 25
+solver.sqn.eta = 0.027
+# inner steps per epoch
+solver.sqn.m = 2000
+# gradient batch size
+solver.sqn.b = 10
+# curvature batch size
+solver.sqn.b_hessian = 50
+# Z, steps between anchor snapshots
+solver.sqn.metric_period = 10
+solver.sqn.alpha = 0.5
+solver.sqn.scheme = uniform_batch
+solver.baseline.kind = prox_gd
+solver.baseline.epochs = 1500
+solver.baseline.eta = 0.027
+"""
+# name -> text: one per error of the grammar; a non-finite float in each
+# section; three texts with two errors each, where the first error that
+# parse_config meets wins; and the README's example
+CONFIG_TEXTS = {
+    "format": "loss = squared_error\nbogus\n",
+    "empty-key": "= 3\n" + _CONFIG_BASE,
+    "duplicate-key": "ridge = 0.1\nridge = 0.2\n",
+    "unknown-key": "mystery = 1\n" + _CONFIG_BASE,
+    "bad-enum": "loss = huber\n",
+    "bad-float": "ridge = abc\n",
+    "bad-int": "synthetic.n = 1.5\n",
+    "unknown-synthetic": "synthetic.flavor = hot\n",
+    "unknown-solver-field": _CONFIG_BASE + "solver.prox_gd.speed = 9\n",
+    "short-solver-key": _CONFIG_BASE + "solver.prox_gd = 9\n",
+    "missing-lambda1": ("loss = squared_error\nridge = 0.1\ndataset = d\n"
+                        "solvers = fista\n"),
+    "dataset-and-synthetic": (_CONFIG_BASE
+                              + "synthetic.n = 5\nsynthetic.d = 5\n"),
+    "no-source": ("loss = squared_error\nridge = 0.1\nlambda1 = 0.0\n"
+                  "solvers = fista\n"),
+    "empty-solvers": _CONFIG_BASE.replace("solvers = prox_gd", "solvers =  "),
+    "duplicate-solvers": _CONFIG_BASE.replace("solvers = prox_gd",
+                                              "solvers = a, a"),
+    "unlisted-solver": _CONFIG_BASE + "solver.ghost.eta = 0.1\n",
+    "not-a-kind": _CONFIG_BASE.replace("solvers = prox_gd",
+                                       "solvers = mystery"),
+    "bad-solver": _CONFIG_BASE + "solver.prox_gd.epochs = 0\n",
+    "missing-synthetic-n": ("loss = squared_error\nridge = 0.1\n"
+                            "lambda1 = 0.0\nsynthetic.d = 5\n"
+                            "solvers = fista\n"),
+    "bad-synthetic": ("loss = squared_error\nridge = 0.1\nlambda1 = 0.0\n"
+                      "synthetic.n = 5\nsynthetic.d = 5\n"
+                      "synthetic.density = 0.0\nsolvers = fista\n"),
+    "negative-ridge": ("loss = squared_error\nridge = -0.1\nlambda1 = 0.0\n"
+                       "dataset = d\nsolvers = fista\n"),
+    "zero-ref-tol": ("loss = squared_error\nridge = 0.1\nlambda1 = 0.0\n"
+                     "dataset = d\nref_tol = 0.0\nsolvers = fista\n"),
+    "nonfinite/experiment": _CONFIG_SYNTHETIC.replace("ridge = 0.1",
+                                                      "ridge = nan"),
+    "nonfinite/synthetic": _CONFIG_SYNTHETIC + "synthetic.noise = inf\n",
+    "nonfinite/solver": _CONFIG_SYNTHETIC + "solver.prox_gd.eta = -inf\n",
+    "first/format-after-unknown": "mystery = 1\nbogus\n" + _CONFIG_BASE,
+    "first/unlisted-before-missing": (
+        "loss = squared_error\nridge = 0.1\ndataset = d\n"
+        "solvers = fista\nsolver.ghost.eta = 0.1\n"),
+    "first/synthetic-before-kind": (
+        "loss = squared_error\nridge = 0.1\nlambda1 = 0.0\n"
+        "synthetic.n = 5\nsynthetic.d = 5\nsynthetic.density = 0.0\n"
+        "solvers = mystery\n"),
+    "readme": README_CONFIG,
+}
+
+
+def config_runs(proxsqn):
+    """(name, hash, []) for parse_config on CONFIG_TEXTS, on CLI_CONFIG per
+    loss and lambda1, and on one text without solvers, parsed with
+    require_solvers=False."""
+    texts = [(name, text, True) for name, text in CONFIG_TEXTS.items()]
+    texts += [(f"cli/{loss.value}/l1={lam}",
+               CLI_CONFIG.format(loss=loss.value, lam=lam), True)
+              for loss in proxsqn.LossKind for lam in LAMBDAS]
+    texts.append(("no-solvers", "loss = squared_error\nridge = 0.0\n"
+                  "lambda1 = 0.0\ndataset = d\noutput = out\n", False))
+    for name, text, require_solvers in texts:
+        h = hashlib.sha256()
+        try:
+            cfg = proxsqn.parse_config(text, require_solvers=require_solvers)
+        except ValueError as exc:
+            h.update(f"{type(exc).__name__}: {exc}".encode())
+        else:
+            h.update(repr(cfg).encode())
+            h.update(proxsqn.serialize_config(cfg).encode())
+        yield f"config/{name}", h.hexdigest(), []
+
+
 def check_runs(proxsqn):
     """(name, hash, []) for each property check of the fast level."""
     for res in proxsqn.run_checks("fast"):
@@ -420,7 +542,8 @@ def emit():
                                *check_runs(proxsqn),
                                *enumeration_runs(proxsqn),
                                *parse_runs(proxsqn), *prox_runs(proxsqn),
-                               *generate_runs(proxsqn)):
+                               *generate_runs(proxsqn),
+                               *config_runs(proxsqn)):
         print(name, digest, ",".join(repr(p) for p in objs) or "-",
               sep="\t", flush=True)
 
